@@ -49,7 +49,7 @@ x = sample_selection_population(params, mu_z, z[:, None], sigma2, rng_pop)
 observed = generate_missingness(x, z[:, None], params, rng_r)
 
 centered = x - mu_z
-obs = observed.values == 1
+obs = observed == 1
 print(f"observed fraction: {obs.mean():.3f}")
 print(f"observed-part mean offset:  {centered[obs].mean():+.4f}   (expect  0)")
 print(

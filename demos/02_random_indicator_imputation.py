@@ -37,7 +37,7 @@ x1 = TRUE_BETA[0] + TRUE_BETA[1] * x2 + TRUE_BETA[2] * x3 + gen.standard_normal(
 selection = NonresponseParams(-2.0, 1.5, [0.0])
 observed = generate_missingness(x1, x2[:, None], selection, RngStream(77, 1))
 target = x1.copy()
-target[observed.values == 0] = np.nan
+target[observed == 0] = np.nan
 data = IncompleteDataset(target, np.column_stack([x2, x3]), target_name="x1",
                          covariate_names=("x2", "x3"))
 print(f"n = {n}, missing fraction = {data.n_missing / n:.2f}, true beta = {TRUE_BETA}")
@@ -77,9 +77,10 @@ print(f"  ignorable MI:      {mi_center:+.3f}   (biased up: imputes like the obs
 print(f"  random indicator:  {ri_center:+.3f}")
 print()
 
-summary = density_summary(ri[0][mis], group_label="imputed", reference=x1[~mis])
-imputed_center = np.trapezoid(summary.grid * summary.observed_density, summary.grid)
-observed_center = np.trapezoid(summary.grid * summary.reference_density, summary.grid)
+imputed = density_summary(ri[0][mis], group_label="imputed")
+reference = density_summary(x1[~mis], group_label="observed")
+imputed_center = np.trapezoid(imputed.grid * imputed.observed_density, imputed.grid)
+observed_center = np.trapezoid(reference.grid * reference.observed_density, reference.grid)
 print("density mass centers (first completed dataset)")
 print(f"  imputed rows:  {imputed_center:+.3f}")
 print(f"  observed rows: {observed_center:+.3f}   (imputed sit below observed, as they should)")

@@ -25,22 +25,18 @@ from .errors import (
 from .fitters import LinearFit, LogisticFit, logistic_fit, ols_fit
 from .imputation import (
     CellMeans,
-    ImputationParams,
     IncompleteDataset,
     RiConfig,
     cell_means,
     complete_case,
     draw_psi_posterior,
-    draw_rdot,
     estimate_adjustment,
     impute_given_rdot,
     mar_impute,
-    predicted_means,
     ri_impute,
 )
 from .mechanism import (
     NonresponseParams,
-    ResponseIndicator,
     delta_from_psi,
     generate_missingness,
     response_probability,
@@ -88,7 +84,6 @@ __all__ = [
     "DegenerateSample",
     "DensitySummary",
     "DimensionMismatch",
-    "ImputationParams",
     "IncompleteDataset",
     "InvalidParameter",
     "LinearFit",
@@ -99,7 +94,6 @@ __all__ = [
     "NonresponseParams",
     "PooledEstimate",
     "RankDeficient",
-    "ResponseIndicator",
     "RiConfig",
     "RiImputeError",
     "RngStream",
@@ -114,7 +108,6 @@ __all__ = [
     "delta_from_psi",
     "density_summary",
     "draw_psi_posterior",
-    "draw_rdot",
     "estimate_adjustment",
     "fit_analysis",
     "format_result_table",
@@ -126,7 +119,6 @@ __all__ = [
     "mix_stream_id",
     "ols_fit",
     "parse_scenario_file",
-    "predicted_means",
     "response_probability",
     "ri_impute",
     "rubin_pool",

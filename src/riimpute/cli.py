@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -110,7 +111,8 @@ def _resolve_seed(value: int | None) -> int:
 
 # ---------------------------------------------------------------------------
 # CSV handling: comma separated, one header row, '.' decimal separator, UTF-8.
-# Missing cells read as empty field or literal NA and written as empty fields.
+# Missing cells read as empty field or literal NA and written as empty fields;
+# cells that parse to a non-finite float (inf, nan, ...) are rejected.
 
 
 def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
@@ -132,11 +134,14 @@ def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
             cell = cell.strip()
             if cell == "" or cell == "NA":
                 data[name][i - 2] = np.nan
-            else:
-                try:
-                    data[name][i - 2] = float(cell)
-                except ValueError as exc:
-                    raise CliInputError(f"{path}:{i}: non-numeric value {cell!r}") from exc
+                continue
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise CliInputError(f"{path}:{i}: non-numeric value {cell!r}") from exc
+            if not math.isfinite(value):
+                raise CliInputError(f"{path}:{i}: non-finite value {cell!r}")
+            data[name][i - 2] = value
     return header, data
 
 
@@ -183,26 +188,22 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
         covariates = np.empty((len(target), 0))
     if np.isnan(covariates).any():
         raise CliInputError(f"{path}: covariates contain missing cells")
+    # with no covariates the imputation model is intercept-only
+    dataset = IncompleteDataset(target, covariates, target_name=args.target,
+                                covariate_names=tuple(covariate_names))
+    names = ["intercept", *covariate_names]
 
     if args.method == "cc":
-        dataset = IncompleteDataset(target, covariates, target_name=args.target,
-                                    covariate_names=tuple(covariate_names))
-        complete_case(dataset)
+        keep_covariates, keep_target = complete_case(dataset)
         keep = dataset.observed_mask
         out_cols = {name: data[name][keep] for name in header}
         out_path = Path(f"{args.output_prefix}_cc.csv")
         write_csv_columns(out_path, header, out_cols, record)
         print(f"wrote {out_path}", file=sys.stderr)
         if covariate_names:
-            _write_pooled_single(args, covariate_names, covariates[keep], target[keep], record)
+            estimate = single_fit_estimate(fit_analysis(keep_covariates, keep_target))
+            _write_pooled(args, names, estimate, record)
         return 0
-
-    if covariate_names:
-        dataset = IncompleteDataset(target, covariates, target_name=args.target,
-                                    covariate_names=tuple(covariate_names))
-    else:
-        # intercept-only imputation model
-        dataset = IncompleteDataset(target, np.zeros((len(target), 0)), target_name=args.target)
 
     if dataset.n_missing == 0:
         print("warning: target column has no missing cells; copies will be identical",
@@ -233,13 +234,13 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
         write_csv_columns(out_path, header, out_cols, record)
         print(f"wrote {out_path}", file=sys.stderr)
 
-    if covariate_names:
+    if covariate_names and len(completions) < 2:
+        # one completed dataset has no between-imputation variance to pool
+        print("note: -m 1 writes no pooled JSON; pooling needs at least 2 imputations",
+              file=sys.stderr)
+    elif covariate_names:
         fits = [fit_analysis(covariates, completed) for completed in completions]
-        if len(fits) >= 2:
-            pooled = rubin_pool(fits, len(fits))
-        else:
-            pooled = single_fit_estimate(fits[0])
-        _write_pooled(args, ["intercept", *covariate_names], pooled, record)
+        _write_pooled(args, names, rubin_pool(fits, len(fits)), record)
     return 0
 
 
@@ -271,11 +272,6 @@ def _write_pooled(args: argparse.Namespace, names: list[str], pooled, record: Cl
     payload = _pooled_payload(record, args.method, names, pooled)
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out_path}", file=sys.stderr)
-
-
-def _write_pooled_single(args, covariate_names, covariates, target, record) -> None:
-    estimate = single_fit_estimate(fit_analysis(covariates, target))
-    _write_pooled(args, ["intercept", *covariate_names], estimate, record)
 
 
 # ---------------------------------------------------------------------------

@@ -118,19 +118,12 @@ def _loglik(eta: np.ndarray, y: np.ndarray) -> float:
     return float(-np.logaddexp(0.0, -signed).sum())
 
 
-def logistic_fit(
-    design,
-    indicator,
-    *,
-    tol: float = IRLS_TOL,
-    max_iter: int = IRLS_MAX_ITER,
-    coef_cap: float = IRLS_COEF_CAP,
-) -> LogisticFit:
+def logistic_fit(design, indicator) -> LogisticFit:
     """Logistic regression by iteratively reweighted least squares.
 
     Newton steps with step halving, so the log likelihood never decreases.
-    Raises Separation once any coefficient passes ``coef_cap`` in magnitude and
-    NonConvergence when the iteration budget runs out.
+    Raises Separation once any coefficient passes ``IRLS_COEF_CAP`` in
+    magnitude and NonConvergence after ``IRLS_MAX_ITER`` iterations.
     """
     x, y = _as_design(design, indicator, "indicator")
     if not (np.all((y == 0) | (y == 1)) and y.min() == 0 and y.max() == 1):
@@ -143,7 +136,7 @@ def logistic_fit(
     iterations = 0
     converged = False
 
-    while iterations < max_iter:
+    while iterations < IRLS_MAX_ITER:
         iterations += 1
         mu = expit(eta)
         weights = mu * (1.0 - mu)
@@ -168,17 +161,17 @@ def logistic_fit(
         delta = float(np.abs(candidate - beta).max())
         beta, eta, ll = candidate, new_eta, new_ll
 
-        if np.abs(beta).max() > coef_cap:
+        if np.abs(beta).max() > IRLS_COEF_CAP:
             raise Separation(
-                f"coefficient magnitude exceeded {coef_cap:g} after {iterations} iterations"
+                f"coefficient magnitude exceeded {IRLS_COEF_CAP:g} after {iterations} iterations"
             )
         grad_now = x.T @ (y - expit(eta))
-        if delta < tol and np.abs(grad_now).max() <= 1e-6:
+        if delta < IRLS_TOL and np.abs(grad_now).max() <= 1e-6:
             converged = True
             break
 
     if not converged:
-        raise NonConvergence(f"IRLS did not converge within {max_iter} iterations")
+        raise NonConvergence(f"IRLS did not converge within {IRLS_MAX_ITER} iterations")
 
     mu = expit(eta)
     info = x.T @ ((mu * (1.0 - mu))[:, None] * x)

@@ -25,23 +25,22 @@ from .errors import (
     InvalidParameter,
     TooFewRows,
 )
-from .fitters import LinearFit, LogisticFit, logistic_fit, ols_fit
-from .mechanism import (
-    NonresponseParams,
-    ResponseIndicator,
-    generate_missingness,
-    indicator_values,
-)
+from .fitters import LinearFit, logistic_fit, ols_fit
+from .mechanism import NonresponseParams, generate_missingness
 from .rng import RngStream, mix_stream_id, sample_mvnormal, sample_scaled_inv_chi2
 
 logger = logging.getLogger(__name__)
+
+# pseudo-indicator redraws per sweep before the sweep falls back to zero shift
+MAX_RDOT_REDRAWS = 5
 
 
 @dataclass(frozen=True)
 class IncompleteDataset:
     """One incomplete numeric target plus fully observed covariates.
 
-    Missing target cells are NaN; covariates must be complete.
+    Missing target cells are NaN; covariates must be complete. Infinite
+    values are rejected in both.
     """
 
     target: np.ndarray
@@ -62,6 +61,8 @@ class IncompleteDataset:
             )
         if np.isnan(covariates).any():
             raise InvalidParameter("covariates must be fully observed")
+        if np.isinf(target).any() or np.isinf(covariates).any():
+            raise InvalidParameter("target and covariates must not contain infinite values")
         names = tuple(self.covariate_names) or tuple(
             f"z{i + 1}" for i in range(covariates.shape[1])
         )
@@ -82,10 +83,6 @@ class IncompleteDataset:
     @property
     def observed_mask(self) -> np.ndarray:
         return ~np.isnan(self.target)
-
-    @property
-    def response(self) -> ResponseIndicator:
-        return ResponseIndicator(self.observed_mask.astype(np.int8))
 
     @property
     def n_observed(self) -> int:
@@ -110,26 +107,11 @@ class IncompleteDataset:
 
 
 @dataclass(frozen=True)
-class ImputationParams:
-    """Regression parameters of the imputation model.
-
-    ``phi`` holds the intercept and covariate coefficients, ``sigma2`` the
-    residual variance, ``delta_adj`` the location shift applied per pseudo
-    indicator level.
-    """
-
-    phi: np.ndarray
-    sigma2: float
-    delta_adj: float
-
-
-@dataclass(frozen=True)
 class RiConfig:
     """Settings for the random-indicator imputer."""
 
     iterations: int = 10
     num_imputations: int = 5
-    max_rdot_redraws: int = 5
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -171,52 +153,34 @@ def _with_intercept(z: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(z.shape[0]), z])
 
 
-def estimate_adjustment(
-    data: IncompleteDataset, r, rdot
-) -> tuple[LinearFit, ImputationParams]:
+def _indicator(values, n: int) -> np.ndarray:
+    """A caller's response or pseudo-response indicator: 0/1 vector of length n."""
+    values = np.asarray(values)
+    if values.ndim != 1 or not np.all((values == 0) | (values == 1)):
+        raise InvalidParameter("indicator must be a 1-d vector of 0s and 1s")
+    if len(values) != n:
+        raise DimensionMismatch(f"indicator has length {len(values)}, expected {n}")
+    return values
+
+
+def estimate_adjustment(data: IncompleteDataset, rdot) -> LinearFit:
     """Fit the observed-part regression with the pseudo-indicator offset.
 
     Regresses the observed target on intercept, covariates, and (rdot - 1);
-    the coefficient on (rdot - 1) is the estimated shift ``delta_adj``.
+    the last coefficient, on (rdot - 1), is the estimated shift ``delta_adj``.
+    Raises DegenerateRdot when rdot is constant among the observed rows.
     """
-    r = indicator_values(r)
-    rdot = indicator_values(rdot)
-    if len(r) != data.n or len(rdot) != data.n:
-        raise DimensionMismatch("indicators must match the dataset length")
-    obs = r == 1
+    rdot = _indicator(rdot, data.n)
+    obs = data.observed_mask
     rdot_obs = rdot[obs]
     if rdot_obs.size == 0 or rdot_obs.min() == rdot_obs.max():
         raise DegenerateRdot("pseudo indicator is constant among observed rows")
-    n_params = data.n_covariates + 2
-    data.require_fittable(n_params)
+    data.require_fittable(data.n_covariates + 2)
 
     design = np.column_stack(
         [_with_intercept(data.covariates[obs]), rdot_obs.astype(float) - 1.0]
     )
-    fit = ols_fit(design, data.target[obs])
-    params = ImputationParams(
-        phi=fit.coefficients[:-1],
-        sigma2=fit.residual_variance,
-        delta_adj=float(fit.coefficients[-1]),
-    )
-    return fit, params
-
-
-def predicted_means(
-    params: ImputationParams, covariates: np.ndarray, r, rdot
-) -> np.ndarray:
-    """Model conditional means row-wise.
-
-    Observed rows get ``z.phi + delta_adj * (rdot - 1)``; missing rows get one
-    extra shift, ``z.phi + delta_adj * (rdot - 2)``.
-    """
-    r = indicator_values(r).astype(float)
-    rdot = indicator_values(rdot).astype(float)
-    covariates = np.asarray(covariates, dtype=float)
-    if covariates.ndim == 1:
-        covariates = covariates[:, None]
-    base = _with_intercept(covariates) @ params.phi
-    return base + params.delta_adj * (rdot - 2.0 + r)
+    return ols_fit(design, data.target[obs])
 
 
 def _draw_posterior_coefficients(
@@ -241,30 +205,35 @@ def _draw_posterior_coefficients(
     return coef_dot, sigma2_dot
 
 
-def impute_given_rdot(
-    data: IncompleteDataset, r, rdot, rng: RngStream
-) -> np.ndarray:
+def impute_given_rdot(data: IncompleteDataset, rdot, rng: RngStream) -> np.ndarray:
     """Impute the missing target values for a fixed pseudo indicator.
 
-    Estimates the shift from observed rows, draws regression parameters from
-    their posterior, predicts each missing row with the shift applied once for
-    pseudo-observed rows and twice for pseudo-missing rows, then adds normal
-    noise at the drawn residual variance.
+    Estimates the shift ``delta_adj`` from the observed rows, draws the other
+    regression parameters from their posterior, and predicts each missing row
+    as ``z.phi + delta_adj * (rdot - 2)``: the shift applied once for
+    pseudo-observed rows and twice for pseudo-missing rows. Normal noise at
+    the drawn residual variance is added.
     """
-    fit, params = estimate_adjustment(data, r, rdot)
+    fit = estimate_adjustment(data, rdot)
+    delta_adj = float(fit.coefficients[-1])
     phi_dot, sigma2_dot = _draw_posterior_coefficients(fit, rng, slice(0, fit.n_params - 1))
-    draw = ImputationParams(phi=phi_dot, sigma2=sigma2_dot, delta_adj=params.delta_adj)
 
-    r = indicator_values(r)
-    mis = r == 0
-    means = predicted_means(draw, data.covariates[mis], r[mis], indicator_values(rdot)[mis])
+    mis = ~data.observed_mask
+    shift = np.asarray(rdot)[mis] - 2.0
+    means = _with_intercept(data.covariates[mis]) @ phi_dot + delta_adj * shift
     completed = data.target.copy()
     completed[mis] = means + np.sqrt(sigma2_dot) * rng.generator.standard_normal(mis.sum())
     return completed
 
 
-def nonresponse_fit(completed_target, covariates, r) -> LogisticFit:
-    """Fit the selection model of the response indicator on the completed data."""
+def draw_psi_posterior(
+    completed_target, covariates, r, rng: RngStream
+) -> NonresponseParams:
+    """Fit the selection model of ``r`` on the completed data and draw its coefficients.
+
+    The draw is normal around the maximum likelihood estimate with the inverse
+    Fisher information as covariance.
+    """
     completed_target = np.asarray(completed_target, dtype=float)
     covariates = np.asarray(covariates, dtype=float)
     if covariates.ndim == 1:
@@ -272,27 +241,9 @@ def nonresponse_fit(completed_target, covariates, r) -> LogisticFit:
     design = np.column_stack(
         [np.ones(completed_target.shape[0]), completed_target, covariates]
     )
-    return logistic_fit(design, indicator_values(r))
-
-
-def draw_nonresponse_params(fit: LogisticFit, rng: RngStream) -> NonresponseParams:
-    """One approximate posterior draw: normal around the estimate with the fit covariance."""
+    fit = logistic_fit(design, r)
     draw = sample_mvnormal(fit.coefficients, fit.covariance, rng)
     return NonresponseParams(psi0=draw[0], psi1=draw[1], psi_z=draw[2:])
-
-
-def draw_psi_posterior(
-    completed_target, covariates, r, rng: RngStream
-) -> NonresponseParams:
-    """Fit the selection model and draw coefficients from its approximate posterior."""
-    return draw_nonresponse_params(nonresponse_fit(completed_target, covariates, r), rng)
-
-
-def draw_rdot(
-    completed_target, covariates, psi: NonresponseParams, rng: RngStream
-) -> ResponseIndicator:
-    """Draw a pseudo response indicator from the selection model on completed data."""
-    return generate_missingness(completed_target, covariates, psi, rng)
 
 
 def _mar_fit(data: IncompleteDataset) -> LinearFit:
@@ -301,9 +252,8 @@ def _mar_fit(data: IncompleteDataset) -> LinearFit:
     return ols_fit(_with_intercept(data.covariates[obs]), data.target[obs])
 
 
-def _impute_mar_draw(data: IncompleteDataset, rng: RngStream, fit: LinearFit | None = None) -> np.ndarray:
+def _impute_mar_draw(data: IncompleteDataset, rng: RngStream, fit: LinearFit) -> np.ndarray:
     """One Bayesian regression imputation of the missing rows (no shift)."""
-    fit = fit if fit is not None else _mar_fit(data)
     phi_dot, sigma2_dot = _draw_posterior_coefficients(fit, rng, slice(0, fit.n_params))
     mis = ~data.observed_mask
     completed = data.target.copy()
@@ -344,9 +294,9 @@ def ri_impute(
 
     ``nonresponse_columns`` restricts which covariate columns enter the
     selection model (default: all of them). If the drawn pseudo indicator is
-    constant among observed rows it is redrawn up to
-    ``config.max_rdot_redraws`` times, after which the sweep falls back to an
-    unshifted imputation and logs a warning.
+    constant among observed rows it is redrawn up to ``MAX_RDOT_REDRAWS``
+    times, after which the sweep falls back to an unshifted imputation and
+    logs a warning.
     """
     if data.n_missing == 0:
         logger.warning(
@@ -358,7 +308,6 @@ def ri_impute(
     cols = tuple(range(data.n_covariates)) if nonresponse_columns is None else tuple(nonresponse_columns)
     z_nr = data.covariates[:, cols]
 
-    r = data.response
     obs = data.observed_mask
     observed_values = data.target[obs]
     results: list[np.ndarray] = []
@@ -367,37 +316,27 @@ def ri_impute(
         completed = data.target.copy()
         completed[~obs] = rng.generator.choice(observed_values, size=data.n_missing, replace=True)
         for _ in range(config.iterations):
-            psi_dot = draw_psi_posterior(completed, z_nr, r, rng)
-            rdot = draw_rdot(completed, z_nr, psi_dot, rng)
-            redraws = 0
-            while _rdot_degenerate(rdot, r) and redraws < config.max_rdot_redraws:
-                rdot = draw_rdot(completed, z_nr, psi_dot, rng)
-                redraws += 1
-            if _rdot_degenerate(rdot, r):
+            psi_dot = draw_psi_posterior(completed, z_nr, obs, rng)
+            for _ in range(MAX_RDOT_REDRAWS + 1):
+                rdot = generate_missingness(completed, z_nr, psi_dot, rng)
+                try:
+                    completed = impute_given_rdot(data, rdot, rng)
+                    break
+                except DegenerateRdot:
+                    pass
+            else:
                 logger.warning(
                     "pseudo indicator degenerate after %d redraws; sweep uses zero shift",
-                    redraws,
+                    MAX_RDOT_REDRAWS,
                 )
-                completed = _impute_mar_draw(data, rng)
-            else:
-                completed = impute_given_rdot(data, r, rdot, rng)
+                completed = _impute_mar_draw(data, rng, _mar_fit(data))
         results.append(completed)
     return results
 
 
-def _rdot_degenerate(rdot: ResponseIndicator, r: ResponseIndicator) -> bool:
-    vals = rdot.values[r.values == 1]
-    return vals.size == 0 or vals.min() == vals.max()
-
-
 def complete_case(data: IncompleteDataset) -> tuple[np.ndarray, np.ndarray]:
     """Covariates and target restricted to rows with an observed target."""
-    n_params = data.n_covariates + 1
-    if data.n_observed < n_params + 2:
-        raise TooFewRows(
-            f"complete-case analysis needs at least {n_params + 2} observed rows, "
-            f"got {data.n_observed}"
-        )
+    data.require_fittable(data.n_covariates + 1)
     obs = data.observed_mask
     return data.covariates[obs].copy(), data.target[obs].copy()
 
@@ -408,10 +347,8 @@ def cell_means(target, r, rdot) -> CellMeans:
     Empty cells get NaN means and show up in ``CellMeans.empty_cells``.
     """
     target = np.asarray(target, dtype=float)
-    r = indicator_values(r)
-    rdot = indicator_values(rdot)
-    if not (len(target) == len(r) == len(rdot)):
-        raise DimensionMismatch("target and indicators must have equal length")
+    r = _indicator(r, len(target))
+    rdot = _indicator(rdot, len(target))
 
     means = []
     counts = []

@@ -47,37 +47,6 @@ class NonresponseParams:
         return np.concatenate(([self.psi0, self.psi1], self.psi_z))
 
 
-@dataclass(frozen=True)
-class ResponseIndicator:
-    """0/1 vector, 1 where the target value is observed."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values)
-        if values.ndim != 1 or not np.all((values == 0) | (values == 1)):
-            raise InvalidParameter("response indicator must be a 1-d vector of 0s and 1s")
-        object.__setattr__(self, "values", values.astype(np.int8))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def n_observed(self) -> int:
-        return int(self.values.sum())
-
-    @property
-    def n_missing(self) -> int:
-        return len(self.values) - self.n_observed
-
-
-def indicator_values(indicator) -> np.ndarray:
-    """Accept a ResponseIndicator or a plain 0/1 array and return the array."""
-    if isinstance(indicator, ResponseIndicator):
-        return indicator.values
-    return ResponseIndicator(np.asarray(indicator)).values
-
-
 def _covariate_matrix(z, n_rows: int, n_coefs: int) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if n_coefs == 0:
@@ -108,11 +77,14 @@ def response_probability(params: NonresponseParams, x1, z=None):
 
 def generate_missingness(
     target, covariates, params: NonresponseParams, rng: RngStream
-) -> ResponseIndicator:
-    """Draw the response indicator row-wise from the selection model."""
+) -> np.ndarray:
+    """Draw the response indicator row-wise from the selection model.
+
+    Returns an int8 vector, 1 where the target value is observed.
+    """
     target = np.asarray(target, dtype=float)
     prob = response_probability(params, target, covariates)
-    return ResponseIndicator(sample_bernoulli(np.atleast_1d(prob), rng))
+    return sample_bernoulli(np.atleast_1d(prob), rng)
 
 
 def delta_from_psi(psi1: float, sigma2: float) -> float:

@@ -93,11 +93,10 @@ class ReplicationResult:
 
 @dataclass(frozen=True)
 class DensitySummary:
-    """Kernel density of one group, optionally next to a reference sample."""
+    """Kernel density of one group."""
 
     grid: np.ndarray
     observed_density: np.ndarray
-    reference_density: np.ndarray | None
     group_label: str
 
 
@@ -174,7 +173,7 @@ def run_replication(config: ScenarioConfig, replication_index: int) -> Replicati
     resp = generate_missingness(x1, covariates[:, :n_sel], config.psi, miss_rng)
 
     target = x1.copy()
-    target[resp.values == 0] = np.nan
+    target[resp == 0] = np.nan
     data = IncompleteDataset(target, covariates, target_name="x1", covariate_names=("x2", "x3"))
 
     estimates: dict[str, PooledEstimate] = {}
@@ -195,7 +194,7 @@ def run_replication(config: ScenarioConfig, replication_index: int) -> Replicati
     estimates["ri"] = rubin_pool(
         [fit_analysis(data.covariates, c) for c in ri_completions], config.m
     )
-    return ReplicationResult(estimates=estimates, missing_fraction=resp.n_missing / config.n)
+    return ReplicationResult(estimates=estimates, missing_fraction=data.n_missing / config.n)
 
 
 def run_scenario(config: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
@@ -203,8 +202,10 @@ def run_scenario(config: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
 
     Failed replications (separation and the like) are recorded and skipped;
     the run errors out only when more than 5% of them fail. Results are
-    identical for any ``n_jobs``.
+    identical for any ``n_jobs`` >= 1.
     """
+    if n_jobs < 1:
+        raise InvalidParameter(f"n_jobs must be >= 1, got {n_jobs}")
     indices = range(config.replications)
 
     def _one(i: int) -> ReplicationResult | None:
@@ -295,32 +296,19 @@ def _kde_on_grid(values: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.n
     return density * norm_const
 
 
-def density_summary(values, group_label: str = "", reference=None) -> DensitySummary:
+def density_summary(values, group_label: str = "") -> DensitySummary:
     """Gaussian kernel density on a 512-point grid.
 
     The grid runs from min - 4h to max + 4h with the plug-in bandwidth h, so
     the trapezoid integral of the curve is 1 to within a tenth of a percent.
-    An optional reference sample is evaluated on the same grid with its own
-    bandwidth.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2 or np.unique(values).size < 2:
         raise DegenerateSample("density needs at least two distinct values")
     h = silverman_bandwidth(values)
     grid = np.linspace(values.min() - 4.0 * h, values.max() + 4.0 * h, 512)
-    observed = _kde_on_grid(values, grid, h)
-
-    reference_density = None
-    if reference is not None:
-        reference = np.asarray(reference, dtype=float)
-        if reference.ndim != 1 or reference.size < 2 or np.unique(reference).size < 2:
-            raise DegenerateSample("reference sample needs at least two distinct values")
-        reference_density = _kde_on_grid(reference, grid, silverman_bandwidth(reference))
     return DensitySummary(
-        grid=grid,
-        observed_density=observed,
-        reference_density=reference_density,
-        group_label=group_label,
+        grid=grid, observed_density=_kde_on_grid(values, grid, h), group_label=group_label
     )
 
 

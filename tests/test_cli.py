@@ -28,7 +28,7 @@ def mnar_csv(path, seed=5, n=1000, psi=(-2.0, 1.5, 0.0)):
     params = NonresponseParams(psi[0], psi[1], [psi[2]])
     r = generate_missingness(x1, x2[:, None], params, RngStream(seed, 1))
     target = x1.copy()
-    target[r.values == 0] = np.nan
+    target[r == 0] = np.nan
     write_csv(path, ["x1", "x2", "x3"], {"x1": target, "x2": x2, "x3": x3})
     return x1, target
 
@@ -100,6 +100,53 @@ def test_impute_malformed_csv_exits_2(tmp_path):
         "--method", "mar", "--seed", "1", "--output-prefix", str(tmp_path / "b"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize("method", ["ri", "mar", "cc"])
+def test_impute_non_finite_target_exits_2(tmp_path, capsys, method):
+    csv_path = tmp_path / "inf.csv"
+    x1, _ = mnar_csv(csv_path, n=100)
+    lines = csv_path.read_text(encoding="utf-8").splitlines()
+    lines[5] = "inf" + lines[5][lines[5].index(","):]
+    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main([
+        "impute", str(csv_path), "--target", "x1", "--covariates", "x2,x3",
+        "--method", method, "--seed", "1", "--output-prefix", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert f"{csv_path}:6: non-finite value 'inf'" in capsys.readouterr().err
+    assert list(tmp_path.glob("o_*")) == []
+
+
+@pytest.mark.parametrize("cell", ["-inf", "nan", "Infinity", " NaN "])
+def test_impute_non_finite_covariate_exits_2(tmp_path, capsys, cell):
+    csv_path = tmp_path / "inf.csv"
+    csv_path.write_text(
+        "y,z\n" + "".join(f"{i},{0.5 * i}\n" for i in range(8)) + f",{cell}\n",
+        encoding="utf-8",
+    )
+    code = main([
+        "impute", str(csv_path), "--target", "y", "--covariates", "z",
+        "--method", "cc", "--seed", "1", "--output-prefix", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert f"{csv_path}:10: non-finite value {cell.strip()!r}" in capsys.readouterr().err
+    assert list(tmp_path.glob("o_*")) == []
+
+
+def test_impute_single_imputation_writes_no_pooled_json(tmp_path, capsys):
+    csv_path = tmp_path / "data.csv"
+    mnar_csv(csv_path, n=300)
+    for method in ("ri", "mar"):
+        code = main([
+            "impute", str(csv_path), "--target", "x1", "--covariates", "x2,x3",
+            "--method", method, "-m", "1", "--iterations", "3", "--seed", "4",
+            "--output-prefix", str(tmp_path / method),
+        ])
+        assert code == 0
+        assert (tmp_path / f"{method}_imp1.csv").exists()
+        assert not (tmp_path / f"{method}_pooled.json").exists()
+        assert "writes no pooled JSON" in capsys.readouterr().err
 
 
 def test_impute_statistical_failure_exits_3(tmp_path):
@@ -212,6 +259,17 @@ def test_simulate_unknown_scenario_exits_2(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--scenario", "mnar9", "--output", str(tmp_path / "x.csv")])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_simulate_jobs_below_one_exits_2(tmp_path, jobs):
+    out = tmp_path / "table.csv"
+    code = main([
+        "simulate", "--scenario", "mcar", "-n", "200", "--replications", "1",
+        "--seed", "4", "--jobs", jobs, "--output", str(out),
+    ])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_simulate_scenario_file(tmp_path):

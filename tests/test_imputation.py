@@ -7,34 +7,30 @@ from hypothesis import given, settings, strategies as st
 from riimpute import (
     DegenerateRdot,
     DimensionMismatch,
-    ImputationParams,
     IncompleteDataset,
     InvalidParameter,
     NonresponseParams,
-    ResponseIndicator,
     RiConfig,
     RngStream,
     TooFewRows,
     cell_means,
     complete_case,
     draw_psi_posterior,
-    draw_rdot,
     estimate_adjustment,
     generate_missingness,
     impute_given_rdot,
+    logistic_fit,
     mar_impute,
-    predicted_means,
     ri_impute,
     rubin_pool,
     fit_analysis,
+    sample_mvnormal,
     sample_selection_population,
 )
-from riimpute.imputation import draw_nonresponse_params, nonresponse_fit
-from riimpute.fitters import LogisticFit
 
 
 def indicator(bits):
-    return ResponseIndicator(np.asarray(bits))
+    return np.asarray(bits, dtype=np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +44,15 @@ def test_dataset_validation():
         IncompleteDataset(np.array([1.0, 2.0]), np.ones((3, 1)))
     data = IncompleteDataset(np.array([1.0, np.nan, 3.0]), np.arange(3.0))
     assert data.n == 3 and data.n_observed == 2 and data.n_missing == 1
-    assert data.response.values.tolist() == [1, 0, 1]
+    assert data.observed_mask.tolist() == [True, False, True]
     assert data.covariate_names == ("z1",)
+
+
+def test_dataset_rejects_infinite_values():
+    with pytest.raises(InvalidParameter):
+        IncompleteDataset(np.array([1.0, np.inf, np.nan]), np.arange(3.0))
+    with pytest.raises(InvalidParameter):
+        IncompleteDataset(np.array([1.0, 2.0, np.nan]), np.array([0.0, -np.inf, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +63,11 @@ def test_adjustment_exact_two_group_shift():
     # no covariates: observed pseudo-observed rows at 5, pseudo-missing at 3
     target = np.array([5.0, 5.0, 5.0, 3.0, 3.0, 3.0, np.nan])
     data = IncompleteDataset(target, np.zeros((7, 0)))
-    r = indicator([1, 1, 1, 1, 1, 1, 0])
     rdot = indicator([1, 1, 1, 0, 0, 0, 1])
-    fit, params = estimate_adjustment(data, r, rdot)
-    assert params.delta_adj == pytest.approx(2.0, abs=1e-10)
-    assert params.sigma2 == pytest.approx(0.0, abs=1e-12)
-    assert params.phi[0] == pytest.approx(5.0, abs=1e-10)
+    fit = estimate_adjustment(data, rdot)
+    assert fit.coefficients[-1] == pytest.approx(2.0, abs=1e-10)
+    assert fit.residual_variance == pytest.approx(0.0, abs=1e-12)
+    assert fit.coefficients[0] == pytest.approx(5.0, abs=1e-10)
 
 
 def test_adjustment_recovers_constructed_shift():
@@ -82,10 +84,11 @@ def test_adjustment_recovers_constructed_shift():
     target = x_shifted.copy()
     target[r_bits == 0] = np.nan
     data = IncompleteDataset(target, z[:, None])
-    fit, params = estimate_adjustment(data, indicator(r_bits), indicator(rdot_bits))
+    fit = estimate_adjustment(data, indicator(rdot_bits))
+    delta_adj = fit.coefficients[-1]
 
     se = np.sqrt(fit.residual_variance * fit.gram_inverse[-1, -1])
-    assert abs(params.delta_adj - shift) < 3 * se
+    assert abs(delta_adj - shift) < 3 * se
 
     # oracle: two-group mean difference of residuals after projecting out z
     obs = r_bits == 1
@@ -94,7 +97,7 @@ def test_adjustment_recovers_constructed_shift():
     resid = x_shifted[obs] - design @ coef
     oracle = resid[rdot_bits[obs] == 1].mean() - resid[rdot_bits[obs] == 0].mean()
     assert abs(oracle - shift) < 3 * se
-    assert abs(params.delta_adj - oracle) < 0.05
+    assert abs(delta_adj - oracle) < 0.05
 
 
 def test_adjustment_on_selection_consistent_population():
@@ -111,34 +114,38 @@ def test_adjustment_on_selection_consistent_population():
     rdot = generate_missingness(x, z[:, None], params_true, RngStream(42, 2))
 
     target = x.copy()
-    target[r.values == 0] = np.nan
+    target[r == 0] = np.nan
     data = IncompleteDataset(target, z[:, None])
-    _, params = estimate_adjustment(data, r, rdot)
-    assert abs(params.delta_adj - 1.5) < 0.05
+    assert abs(estimate_adjustment(data, rdot).coefficients[-1] - 1.5) < 0.05
 
 
 def test_adjustment_degenerate_rdot():
     target = np.array([1.0, 2.0, 3.0, np.nan])
     data = IncompleteDataset(target, np.zeros((4, 0)))
-    r = indicator([1, 1, 1, 0])
     with pytest.raises(DegenerateRdot):
-        estimate_adjustment(data, r, indicator([1, 1, 1, 0]))
+        estimate_adjustment(data, indicator([1, 1, 1, 0]))
+    with pytest.raises(DegenerateRdot):
+        impute_given_rdot(data, indicator([0, 0, 0, 1]), RngStream(0, 0))
 
 
 # ---------------------------------------------------------------------------
-# predicted_means / impute_given_rdot
+# impute_given_rdot
 
 
-def test_predicted_means_offset_structure():
-    params = ImputationParams(phi=np.array([2.0, 3.0]), sigma2=1.0, delta_adj=0.7)
-    z = np.array([[1.0], [1.0], [1.0], [1.0]])
-    r = indicator([1, 1, 0, 0])
-    rdot = indicator([1, 0, 1, 0])
-    means = predicted_means(params, z, r, rdot)
+def test_impute_offset_structure_on_exact_data(rng):
+    # observed rows: z.phi = 2 + 3z, pseudo-missing ones 0.7 lower, no noise,
+    # so the fit and the draw are exact and the imputations are the means
+    z = np.array([0.0, 1.0, 2.0, 3.0, 0.5, 1.5, 2.5, 3.5, 1.0, 1.0])
+    rdot = indicator([1, 1, 1, 1, 0, 0, 0, 0, 1, 0])
+    target = 2.0 + 3.0 * z - 0.7 * (rdot == 0)
+    target[8:] = np.nan
+    data = IncompleteDataset(target, z[:, None])
+    completed = impute_given_rdot(data, rdot, rng)
     base = 5.0
-    assert means == pytest.approx([base, base - 0.7, base - 0.7, base - 1.4])
+    # missing rows: shifted once when pseudo-observed, twice when pseudo-missing
+    assert completed[8:] == pytest.approx([base - 0.7, base - 1.4], abs=1e-8)
     # within the missing rows the two pseudo groups differ by exactly delta_adj
-    assert means[2] - means[3] == pytest.approx(0.7, abs=1e-12)
+    assert completed[8] - completed[9] == pytest.approx(0.7, abs=1e-8)
 
 
 def test_impute_reduces_to_regression_predictions_when_exact(rng):
@@ -148,9 +155,8 @@ def test_impute_reduces_to_regression_predictions_when_exact(rng):
     target = x.copy()
     target[6:] = np.nan
     data = IncompleteDataset(target, z[:, None])
-    r = indicator([1] * 6 + [0] * 2)
     rdot = indicator([1, 0, 1, 0, 1, 0, 1, 0])
-    completed = impute_given_rdot(data, r, rdot, rng)
+    completed = impute_given_rdot(data, rdot, rng)
     assert np.allclose(completed[6:], 2.0 + 3.0 * z[6:], atol=1e-8)
     assert np.array_equal(completed[:6], x[:6])
 
@@ -168,30 +174,31 @@ def test_impute_mean_difference_matches_pseudo_group_frequencies():
     rdot = generate_missingness(x, z[:, None], params_true, RngStream(43, 2))
 
     target = x.copy()
-    target[r.values == 0] = np.nan
+    target[r == 0] = np.nan
     data = IncompleteDataset(target, z[:, None])
 
-    _, params = estimate_adjustment(data, r, rdot)
-    completed = impute_given_rdot(data, r, rdot, RngStream(43, 3))
+    fit = estimate_adjustment(data, rdot)
+    completed = impute_given_rdot(data, rdot, RngStream(43, 3))
 
-    mis = r.values == 0
-    unshifted = np.column_stack([np.ones(mis.sum()), z[mis]]) @ params.phi
-    expected_gap = -params.delta_adj * (2.0 - rdot.values[mis]).mean()
+    mis = r == 0
+    unshifted = np.column_stack([np.ones(mis.sum()), z[mis]]) @ fit.coefficients[:-1]
+    expected_gap = -fit.coefficients[-1] * (2.0 - rdot[mis]).mean()
     observed_gap = completed[mis].mean() - unshifted.mean()
     assert abs(observed_gap - expected_gap) < 0.05
 
 
-def test_zero_shift_reduces_to_ignorable_imputation():
-    # with delta_adj forced to zero the conditional imputation distribution is
-    # exactly the ignorable one: means z.phi for every pseudo group, variance
-    # sigma2, regardless of the pseudo indicator
+def test_zero_shift_reduces_to_ignorable_imputation(rng):
+    # observed rows on the line 0.7 - 1.2z in both pseudo groups: the shift is
+    # zero and so is the residual variance, so every missing row is imputed
+    # at z.phi whatever its pseudo indicator
     gen = RngStream(49, 0).generator
     z = gen.normal(0, 1, 12)
-    params = ImputationParams(phi=np.array([0.7, -1.2]), sigma2=0.5, delta_adj=0.0)
-    r = indicator([1] * 6 + [0] * 6)
-    rdot = indicator((gen.random(12) < 0.5).astype(int))
-    means = predicted_means(params, z[:, None], r, rdot)
-    assert np.allclose(means, 0.7 - 1.2 * z, atol=1e-14)
+    target = 0.7 - 1.2 * z
+    target[6:] = np.nan
+    data = IncompleteDataset(target, z[:, None])
+    rdot = indicator([1, 0, 1, 0, 1, 0] + [1, 1, 0, 0, 1, 0])
+    completed = impute_given_rdot(data, rdot, rng)
+    assert np.allclose(completed, 0.7 - 1.2 * z, atol=1e-12)
 
 
 def test_impute_never_touches_observed_rows(rng):
@@ -201,9 +208,8 @@ def test_impute_never_touches_observed_rows(rng):
     target = x.copy()
     target[:10] = np.nan
     data = IncompleteDataset(target, z[:, None])
-    r = data.response
     rdot = indicator((gen.random(50) < 0.6).astype(int))
-    completed = impute_given_rdot(data, r, rdot, rng)
+    completed = impute_given_rdot(data, rdot, rng)
     assert np.array_equal(completed[10:], x[10:])
     assert np.all(np.isfinite(completed))
 
@@ -212,16 +218,23 @@ def test_impute_never_touches_observed_rows(rng):
 # nonresponse posterior draws
 
 
-def test_zero_covariance_draw_returns_estimate(rng):
-    fit = LogisticFit(
-        coefficients=np.array([-1.0, 0.5, 0.2]),
-        covariance=np.zeros((3, 3)),
-        converged=True,
-        iterations=3,
-    )
-    params = draw_nonresponse_params(fit, rng)
-    assert params.psi0 == -1.0 and params.psi1 == 0.5
-    assert params.psi_z.tolist() == [0.2]
+def _selection_fit(x, z, r):
+    return logistic_fit(np.column_stack([np.ones(len(x)), x, z]), r)
+
+
+def test_psi_draw_is_fit_estimate_plus_normal_deviate():
+    # one draw is the selection fit's estimate plus one normal deviate with the
+    # fit covariance, unpacked as intercept, target slope, covariate slopes
+    gen = RngStream(45, 2).generator
+    n = 500
+    z = gen.normal(0, 1, (n, 2))
+    x = gen.normal(0, 1, n)
+    r = (gen.random(n) < 0.6).astype(np.int8)
+    fit = _selection_fit(x, z, r)
+    expected = sample_mvnormal(fit.coefficients, fit.covariance, RngStream(45, 3))
+    params = draw_psi_posterior(x, z, r, RngStream(45, 3))
+    assert params.as_vector().tolist() == expected.tolist()
+    assert params.psi_z.shape == (2,)
 
 
 def test_draw_covariance_matches_fit_covariance():
@@ -230,10 +243,12 @@ def test_draw_covariance_matches_fit_covariance():
     z = gen.normal(0, 1, n)
     x = gen.normal(0, 1, n)
     r_bits = (gen.random(n) < 0.6).astype(int)
-    fit = nonresponse_fit(x, z[:, None], indicator(r_bits))
+    fit = _selection_fit(x, z, r_bits)
 
     rng = RngStream(45, 1)
-    draws = np.vstack([draw_nonresponse_params(fit, rng).as_vector() for _ in range(10_000)])
+    draws = np.vstack(
+        [draw_psi_posterior(x, z, r_bits, rng).as_vector() for _ in range(10_000)]
+    )
     emp = np.cov(draws.T)
     rel = np.linalg.norm(emp - fit.covariance) / np.linalg.norm(fit.covariance)
     assert rel < 0.05
@@ -254,8 +269,9 @@ def test_psi_draw_near_zero_slope_under_ignorable_mechanism():
 
 def test_draw_rdot_probability_one(rng):
     psi = NonresponseParams(60.0, 0.0)
-    rdot = draw_rdot(np.zeros(50), None, psi, rng)
-    assert rdot.values.tolist() == [1] * 50
+    rdot = generate_missingness(np.zeros(50), None, psi, rng)
+    assert rdot.dtype == np.int8
+    assert rdot.tolist() == [1] * 50
 
 
 def test_draw_rdot_marginal_rate_matches_fitted_model():
@@ -267,18 +283,18 @@ def test_draw_rdot_marginal_rate_matches_fitted_model():
     params_true = NonresponseParams(-2.0, 0.0, [0.5])
     r = generate_missingness(x, z[:, None], params_true, RngStream(47, 1))
 
-    fit = nonresponse_fit(x, z[:, None], r)
+    fit = _selection_fit(x, z, r)
     psi_hat = NonresponseParams(fit.coefficients[0], fit.coefficients[1], fit.coefficients[2:])
-    rdot = draw_rdot(x, z[:, None], psi_hat, RngStream(47, 2))
-    assert abs(rdot.values.mean() - r.values.mean()) < 0.02
+    rdot = generate_missingness(x, z[:, None], psi_hat, RngStream(47, 2))
+    assert abs(rdot.mean() - r.mean()) < 0.02
 
 
 def test_draw_rdot_monotone_selection(rng):
     gen = RngStream(48, 0).generator
     x = gen.normal(0, 1, 20_000)
     psi = NonresponseParams(0.0, 3.0)
-    rdot = draw_rdot(x, None, psi, rng)
-    assert x[rdot.values == 1].mean() > x[rdot.values == 0].mean()
+    rdot = generate_missingness(x, None, psi, rng)
+    assert x[rdot == 1].mean() > x[rdot == 0].mean()
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +310,7 @@ def _mnar_dataset(seed, n=600, psi=(-0.5, 1.0, 0.0)):
     params = NonresponseParams(psi[0], psi[1], [psi[2]])
     r = generate_missingness(x, z1[:, None], params, RngStream(seed, 1))
     target = x.copy()
-    target[r.values == 0] = np.nan
+    target[r == 0] = np.nan
     return IncompleteDataset(target, np.column_stack([z1, z2])), x
 
 
@@ -342,7 +358,7 @@ def test_ri_agrees_with_mar_under_ignorable_mechanism():
         params = NonresponseParams(-0.75, 0.0, [0.0])
         r = generate_missingness(x, z1[:, None], params, RngStream(53, rep))
         target = x.copy()
-        target[r.values == 0] = np.nan
+        target[r == 0] = np.nan
         data = IncompleteDataset(target, np.column_stack([z1, z2]))
 
         ri_out = ri_impute(data, RiConfig(seed=rep), nonresponse_columns=(0,))

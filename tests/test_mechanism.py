@@ -4,13 +4,15 @@ from hypothesis import given, settings, strategies as st
 
 from riimpute import (
     DimensionMismatch,
+    IncompleteDataset,
     InvalidParameter,
     NonresponseParams,
-    ResponseIndicator,
     RngStream,
     cell_means,
     delta_from_psi,
+    estimate_adjustment,
     generate_missingness,
+    impute_given_rdot,
     response_probability,
     sample_selection_population,
 )
@@ -51,7 +53,7 @@ def test_response_probability_dimension_mismatch():
 def test_generate_missingness_degenerate_probability(rng):
     params = NonresponseParams(50.0, 0.0)
     indicator = generate_missingness(np.zeros(100), None, params, rng)
-    assert indicator.values.tolist() == [1] * 100
+    assert indicator.tolist() == [1] * 100
 
 
 def test_generate_missingness_rate_ignorable(rng):
@@ -63,7 +65,7 @@ def test_generate_missingness_rate_ignorable(rng):
     x1 = 1.0 + 0.5 * x2 + 1.0 * x3 + gen.standard_normal(n)
     params = NonresponseParams(-2.0, 0.0, [0.5])
     indicator = generate_missingness(x1, x2[:, None], params, rng)
-    assert abs(indicator.n_missing / n - 0.70) < 0.01
+    assert abs((indicator == 0).mean() - 0.70) < 0.01
 
 
 def test_generate_missingness_rate_moderate_nonignorable(rng):
@@ -75,7 +77,7 @@ def test_generate_missingness_rate_moderate_nonignorable(rng):
     x1 = 3.0 - 0.25 * x2 + 0.5 * x3 + gen.standard_normal(n)
     params = NonresponseParams(-1.0, 0.75, [-0.5])
     indicator = generate_missingness(x1, x2[:, None], params, rng)
-    assert abs(indicator.n_missing / n - 0.58) < 0.01
+    assert abs((indicator == 0).mean() - 0.58) < 0.01
 
 
 def test_delta_from_psi_values():
@@ -118,11 +120,25 @@ def test_nonresponse_params_validation():
     assert NonresponseParams(-2.0, 0.0, [0.25]).is_ignorable
 
 
-def test_response_indicator_validation():
+def test_response_indicator_validation(rng):
+    # indicators are plain 0/1 vectors, checked by the functions that take them
+    data = IncompleteDataset(np.array([1.0, 2.0, 3.0, 4.0, np.nan]), np.zeros((5, 0)))
+    target = np.arange(3.0)
     with pytest.raises(InvalidParameter):
-        ResponseIndicator(np.array([0, 1, 2]))
-    ind = ResponseIndicator(np.array([1, 0, 1]))
-    assert ind.n_observed == 2 and ind.n_missing == 1
+        estimate_adjustment(data, [1, 0, 1, 2, 0])
+    with pytest.raises(InvalidParameter):
+        impute_given_rdot(data, np.array([[1, 0, 1, 0, 1]]), rng)
+    with pytest.raises(InvalidParameter):
+        cell_means(target, [1, 0, 1], [1, 0, -1])
+    with pytest.raises(DimensionMismatch):
+        estimate_adjustment(data, [1, 0, 1])
+    with pytest.raises(DimensionMismatch):
+        impute_given_rdot(data, [1, 0, 1, 0, 1, 0], rng)
+    with pytest.raises(DimensionMismatch):
+        cell_means(target, [1, 0, 1, 1], [1, 0, 1])
+    # lists, booleans and any integer type are accepted as they are
+    assert estimate_adjustment(data, [1, 0, 1, 0, 1]).n_params == 2
+    assert cell_means(target, np.array([True, False, True]), [1, 1, 0]).counts == (1, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +157,7 @@ def test_missing_part_mean_shift_is_slope_times_variance():
     x = sample_selection_population(params, mu_z, z[:, None], sigma2, gen_rng)
 
     indicator = generate_missingness(x, z[:, None], params, RngStream(31, 1))
-    mis = indicator.values == 0
+    mis = indicator == 0
     shift = (x - mu_z)[mis].mean()
     se = (x - mu_z)[mis].std() / np.sqrt(mis.sum())
     assert abs(shift + params.psi1 * sigma2) < 4 * se
@@ -165,7 +181,7 @@ def test_cross_classified_cell_shifts_match_slope_times_variance():
     assert cells.empty_cells == ()
 
     def cell_se(rv, dv):
-        sel = (r.values == rv) & (rdot.values == dv)
+        sel = (r == rv) & (rdot == dv)
         return x[sel].std() / np.sqrt(sel.sum())
 
     pooled_se = np.hypot(cell_se(1, 0), cell_se(0, 1))
@@ -189,8 +205,8 @@ def test_off_diagonal_equality_holds_for_any_marginal():
     rdot = generate_missingness(x, None, params, RngStream(33, 2))
     cells = cell_means(x, r, rdot)
 
-    sel10 = (r.values == 1) & (rdot.values == 0)
-    sel01 = (r.values == 0) & (rdot.values == 1)
+    sel10 = (r == 1) & (rdot == 0)
+    sel01 = (r == 0) & (rdot == 1)
     pooled_se = np.hypot(
         x[sel10].std() / np.sqrt(sel10.sum()), x[sel01].std() / np.sqrt(sel01.sum())
     )
