@@ -7,20 +7,21 @@ systematically below the observed part. When the observed part is normal with
 residual variance sigma2 given the covariates, that downward shift is exactly
 slope * sigma2 - the quantity the random-indicator imputer estimates from data.
 
+The reference population and the cell means come from the test suite's
+selection oracle (tests/selection_oracle.py).
+
 Run:  python demos/01_nonresponse_mechanism.py
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from riimpute import (
-    NonresponseParams,
-    RngStream,
-    cell_means,
-    delta_from_psi,
-    generate_missingness,
-    response_probability,
-    sample_selection_population,
-)
+from riimpute import NonresponseParams, RngStream, generate_missingness, response_probability
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from selection_oracle import cell_means, sample_selection_population  # noqa: E402
 
 rng_pop = RngStream(2024, 0)
 rng_r = RngStream(2024, 1)
@@ -54,7 +55,7 @@ print(f"observed fraction: {obs.mean():.3f}")
 print(f"observed-part mean offset:  {centered[obs].mean():+.4f}   (expect  0)")
 print(
     f"missing-part mean offset:   {centered[~obs].mean():+.4f}   "
-    f"(expect {-delta_from_psi(params.psi1, sigma2):+.4f} = -slope*variance)"
+    f"(expect {-params.psi1 * sigma2:+.4f} = -slope*variance)"
 )
 print(f"variance ratio missing/observed: {centered[~obs].var() / centered[obs].var():.3f}")
 print()
@@ -69,9 +70,9 @@ rdot = generate_missingness(x2, None, params2, RngStream(2024, 5))
 cells = cell_means(x2, r, rdot)
 print("cross-classified cell means (second indicator drawn independently)")
 print("-" * 55)
-print(f"  both observed      {cells.mu11:+.4f}")
-print(f"  observed/missed    {cells.mu10:+.4f}")
-print(f"  missed/observed    {cells.mu01:+.4f}   <- equals the row above")
-print(f"  both missed        {cells.mu00:+.4f}")
-print(f"  observed-part difference: {cells.delta_observed:.4f}   (expect {params2.psi1 * sigma2})")
-print(f"  missing-part difference:  {cells.delta_missing:.4f}   (expect {params2.psi1 * sigma2})")
+print(f"  both observed      {cells[1, 1]:+.4f}")
+print(f"  observed/missed    {cells[1, 0]:+.4f}")
+print(f"  missed/observed    {cells[0, 1]:+.4f}   <- equals the row above")
+print(f"  both missed        {cells[0, 0]:+.4f}")
+print(f"  observed-part difference: {cells[1, 1] - cells[1, 0]:.4f}   (expect {params2.psi1 * sigma2})")
+print(f"  missing-part difference:  {cells[0, 1] - cells[0, 0]:.4f}   (expect {params2.psi1 * sigma2})")

@@ -24,10 +24,8 @@ from .errors import (
 )
 from .fitters import LinearFit, LogisticFit, logistic_fit, ols_fit
 from .imputation import (
-    CellMeans,
     IncompleteDataset,
     RiConfig,
-    cell_means,
     complete_case,
     draw_psi_posterior,
     estimate_adjustment,
@@ -37,10 +35,8 @@ from .imputation import (
 )
 from .mechanism import (
     NonresponseParams,
-    delta_from_psi,
     generate_missingness,
     response_probability,
-    sample_selection_population,
 )
 from .pooling import (
     AnalysisFit,
@@ -55,7 +51,6 @@ from .rng import (
     mix_stream_id,
     sample_bernoulli,
     sample_mvnormal,
-    sample_normal,
     sample_scaled_inv_chi2,
 )
 from .simulation import (
@@ -79,7 +74,6 @@ __all__ = [
     "__version__",
     "AnalysisFit",
     "BETA_SETTINGS",
-    "CellMeans",
     "DegenerateRdot",
     "DegenerateSample",
     "DensitySummary",
@@ -102,10 +96,8 @@ __all__ = [
     "Separation",
     "TooFewRows",
     "builtin_scenario",
-    "cell_means",
     "complete_case",
     "coverage",
-    "delta_from_psi",
     "density_summary",
     "draw_psi_posterior",
     "estimate_adjustment",
@@ -126,9 +118,7 @@ __all__ = [
     "run_scenario",
     "sample_bernoulli",
     "sample_mvnormal",
-    "sample_normal",
     "sample_scaled_inv_chi2",
-    "sample_selection_population",
     "silverman_bandwidth",
     "single_fit_estimate",
 ]

@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -62,18 +61,16 @@ class CliInputError(RiImputeError):
 
 @dataclass(frozen=True)
 class CliRunRecord:
-    """Provenance of one command invocation.
+    """Provenance of one command invocation, cited in every output file.
 
-    The deterministic fields (command, seed, version, input digest) are cited
-    in every output file; the timestamp is only reported on stderr so outputs
-    stay byte-identical across reruns.
+    Every field is deterministic (no timestamp), so outputs stay
+    byte-identical across reruns.
     """
 
     command: str
     seed: int
     version: str
     input_digest: str
-    started_at: str
 
     def header_lines(self) -> tuple[str, ...]:
         return (
@@ -87,13 +84,15 @@ class CliRunRecord:
 def _make_record(argv: list[str], seed: int, input_paths: list[Path]) -> CliRunRecord:
     digest = hashlib.sha256()
     for path in input_paths:
-        digest.update(path.read_bytes())
+        try:
+            digest.update(path.read_bytes())
+        except OSError as exc:
+            raise CliInputError(f"cannot read {path}: {exc}") from exc
     return CliRunRecord(
         command="riimpute " + " ".join(argv),
         seed=seed,
         version=__version__,
         input_digest=digest.hexdigest() if input_paths else "none",
-        started_at=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
     )
 
 

@@ -53,7 +53,6 @@ class LogisticFit:
 
     coefficients: np.ndarray
     covariance: np.ndarray
-    converged: bool
     iterations: int
 
 
@@ -133,11 +132,8 @@ def logistic_fit(design, indicator) -> LogisticFit:
     beta = np.zeros(p)
     eta = x @ beta
     ll = _loglik(eta, y)
-    iterations = 0
-    converged = False
 
-    while iterations < IRLS_MAX_ITER:
-        iterations += 1
+    for iterations in range(1, IRLS_MAX_ITER + 1):
         mu = expit(eta)
         weights = mu * (1.0 - mu)
         grad = x.T @ (y - mu)
@@ -167,14 +163,12 @@ def logistic_fit(design, indicator) -> LogisticFit:
             )
         grad_now = x.T @ (y - expit(eta))
         if delta < IRLS_TOL and np.abs(grad_now).max() <= 1e-6:
-            converged = True
             break
-
-    if not converged:
+    else:
         raise NonConvergence(f"IRLS did not converge within {IRLS_MAX_ITER} iterations")
 
     mu = expit(eta)
     info = x.T @ ((mu * (1.0 - mu))[:, None] * x)
     covariance = np.linalg.inv(info)
     covariance = 0.5 * (covariance + covariance.T)
-    return LogisticFit(coefficients=beta, covariance=covariance, converged=converged, iterations=iterations)
+    return LogisticFit(coefficients=beta, covariance=covariance, iterations=iterations)

@@ -119,36 +119,6 @@ class RiConfig:
             raise InvalidParameter("iterations and num_imputations must be >= 1")
 
 
-@dataclass(frozen=True)
-class CellMeans:
-    """Target means in the four response x pseudo-response cells."""
-
-    mu11: float
-    mu10: float
-    mu01: float
-    mu00: float
-    counts: tuple[int, int, int, int]
-
-    @property
-    def empty_cells(self) -> tuple[str, ...]:
-        labels = ("11", "10", "01", "00")
-        return tuple(lab for lab, c in zip(labels, self.counts) if c == 0)
-
-    @property
-    def delta_observed(self) -> float:
-        return self.mu11 - self.mu10
-
-    @property
-    def delta_missing(self) -> float:
-        return self.mu01 - self.mu00
-
-    @property
-    def grand_mean(self) -> float:
-        mus = np.array([self.mu11, self.mu10, self.mu01, self.mu00])
-        counts = np.array(self.counts, dtype=float)
-        return float(np.nansum(np.where(counts > 0, mus * counts, 0.0)) / counts.sum())
-
-
 def _with_intercept(z: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(z.shape[0]), z])
 
@@ -183,15 +153,16 @@ def estimate_adjustment(data: IncompleteDataset, rdot) -> LinearFit:
     return ols_fit(design, data.target[obs])
 
 
-def _draw_posterior_coefficients(
-    fit: LinearFit, rng: RngStream, coef_slice: slice
-) -> tuple[np.ndarray, float]:
-    """Noninformative-prior posterior draw for an OLS fit.
+def _impute_draw(data: IncompleteDataset, fit: LinearFit, rng: RngStream, rdot=None) -> np.ndarray:
+    """One posterior imputation of the missing rows from an observed-rows fit.
 
-    Residual variance is a scaled inverse chi-square draw on the residual
-    degrees of freedom; coefficients are multivariate normal around the
-    estimate. An exact-fit model (zero residual variance) returns the
-    estimates unchanged.
+    Draws the residual variance (scaled inverse chi-square) and the regression
+    coefficients phi (normal) from their noninformative posterior; an exact
+    fit keeps the estimates. With ``rdot`` the fit's last coefficient is the
+    shift ``delta_adj``, kept at its estimate, and each missing row is
+    predicted as ``z.phi + delta_adj * (rdot - 2)``: shifted once when
+    pseudo-observed, twice when pseudo-missing. Normal noise at the drawn
+    residual variance is added.
     """
     df = fit.n_rows - fit.n_params
     if df <= 0:
@@ -200,30 +171,27 @@ def _draw_posterior_coefficients(
         sigma2_dot = sample_scaled_inv_chi2(df, fit.residual_variance, rng)
     else:
         sigma2_dot = 0.0
-    sub_cov = sigma2_dot * fit.gram_inverse[coef_slice, coef_slice]
-    coef_dot = sample_mvnormal(fit.coefficients[coef_slice], sub_cov, rng)
-    return coef_dot, sigma2_dot
+    phi = slice(0, fit.n_params if rdot is None else fit.n_params - 1)
+    phi_dot = sample_mvnormal(fit.coefficients[phi], sigma2_dot * fit.gram_inverse[phi, phi], rng)
+
+    mis = ~data.observed_mask
+    means = _with_intercept(data.covariates[mis]) @ phi_dot
+    if rdot is not None:
+        means = means + float(fit.coefficients[-1]) * (np.asarray(rdot)[mis] - 2.0)
+    completed = data.target.copy()
+    completed[mis] = means + np.sqrt(sigma2_dot) * rng.generator.standard_normal(mis.sum())
+    return completed
 
 
 def impute_given_rdot(data: IncompleteDataset, rdot, rng: RngStream) -> np.ndarray:
     """Impute the missing target values for a fixed pseudo indicator.
 
-    Estimates the shift ``delta_adj`` from the observed rows, draws the other
-    regression parameters from their posterior, and predicts each missing row
-    as ``z.phi + delta_adj * (rdot - 2)``: the shift applied once for
-    pseudo-observed rows and twice for pseudo-missing rows. Normal noise at
-    the drawn residual variance is added.
+    Estimates the shift ``delta_adj`` from the observed rows with
+    ``estimate_adjustment`` and draws the imputations around
+    ``z.phi + delta_adj * (rdot - 2)``: the shift applied once for
+    pseudo-observed rows and twice for pseudo-missing rows.
     """
-    fit = estimate_adjustment(data, rdot)
-    delta_adj = float(fit.coefficients[-1])
-    phi_dot, sigma2_dot = _draw_posterior_coefficients(fit, rng, slice(0, fit.n_params - 1))
-
-    mis = ~data.observed_mask
-    shift = np.asarray(rdot)[mis] - 2.0
-    means = _with_intercept(data.covariates[mis]) @ phi_dot + delta_adj * shift
-    completed = data.target.copy()
-    completed[mis] = means + np.sqrt(sigma2_dot) * rng.generator.standard_normal(mis.sum())
-    return completed
+    return _impute_draw(data, estimate_adjustment(data, rdot), rng, rdot)
 
 
 def draw_psi_posterior(
@@ -252,16 +220,6 @@ def _mar_fit(data: IncompleteDataset) -> LinearFit:
     return ols_fit(_with_intercept(data.covariates[obs]), data.target[obs])
 
 
-def _impute_mar_draw(data: IncompleteDataset, rng: RngStream, fit: LinearFit) -> np.ndarray:
-    """One Bayesian regression imputation of the missing rows (no shift)."""
-    phi_dot, sigma2_dot = _draw_posterior_coefficients(fit, rng, slice(0, fit.n_params))
-    mis = ~data.observed_mask
-    completed = data.target.copy()
-    means = _with_intercept(data.covariates[mis]) @ phi_dot
-    completed[mis] = means + np.sqrt(sigma2_dot) * rng.generator.standard_normal(mis.sum())
-    return completed
-
-
 def mar_impute(data: IncompleteDataset, m: int, rng: RngStream) -> list[np.ndarray]:
     """Multiple imputation under an ignorable mechanism.
 
@@ -276,7 +234,7 @@ def mar_impute(data: IncompleteDataset, m: int, rng: RngStream) -> list[np.ndarr
         return [data.target.copy() for _ in range(m)]
     data.require_imputable()
     fit = _mar_fit(data)
-    return [_impute_mar_draw(data, rng, fit) for _ in range(m)]
+    return [_impute_draw(data, fit, rng) for _ in range(m)]
 
 
 def ri_impute(
@@ -329,7 +287,7 @@ def ri_impute(
                     "pseudo indicator degenerate after %d redraws; sweep uses zero shift",
                     MAX_RDOT_REDRAWS,
                 )
-                completed = _impute_mar_draw(data, rng, _mar_fit(data))
+                completed = _impute_draw(data, _mar_fit(data), rng)
         results.append(completed)
     return results
 
@@ -339,23 +297,3 @@ def complete_case(data: IncompleteDataset) -> tuple[np.ndarray, np.ndarray]:
     data.require_fittable(data.n_covariates + 1)
     obs = data.observed_mask
     return data.covariates[obs].copy(), data.target[obs].copy()
-
-
-def cell_means(target, r, rdot) -> CellMeans:
-    """Empirical target means in the four response x pseudo-response cells.
-
-    Empty cells get NaN means and show up in ``CellMeans.empty_cells``.
-    """
-    target = np.asarray(target, dtype=float)
-    r = _indicator(r, len(target))
-    rdot = _indicator(rdot, len(target))
-
-    means = []
-    counts = []
-    for rv, dv in ((1, 1), (1, 0), (0, 1), (0, 0)):
-        cell = target[(r == rv) & (rdot == dv)]
-        counts.append(int(cell.size))
-        means.append(float(cell.mean()) if cell.size else float("nan"))
-    return CellMeans(
-        mu11=means[0], mu10=means[1], mu01=means[2], mu00=means[3], counts=tuple(counts)
-    )

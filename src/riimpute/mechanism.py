@@ -13,7 +13,6 @@ with residual variance ``sigma2`` given z.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,13 +37,6 @@ class NonresponseParams:
         vec = np.array([self.psi0, self.psi1, *self.psi_z])
         if not np.all(np.isfinite(vec)):
             raise InvalidParameter("nonresponse coefficients must be finite")
-
-    @property
-    def is_ignorable(self) -> bool:
-        return self.psi1 == 0.0
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate(([self.psi0, self.psi1], self.psi_z))
 
 
 def _covariate_matrix(z, n_rows: int, n_coefs: int) -> np.ndarray:
@@ -85,61 +77,3 @@ def generate_missingness(
     target = np.asarray(target, dtype=float)
     prob = response_probability(params, target, covariates)
     return sample_bernoulli(np.atleast_1d(prob), rng)
-
-
-def delta_from_psi(psi1: float, sigma2: float) -> float:
-    """Mean shift of the missing part implied by the selection slope: psi1 * sigma2."""
-    if not sigma2 > 0:
-        raise InvalidParameter(f"sigma2 must be positive, got {sigma2}")
-    return float(psi1) * float(sigma2)
-
-
-def sample_selection_population(
-    params: NonresponseParams,
-    mean,
-    covariates,
-    sigma2: float,
-    rng: RngStream,
-    indicators: int = 1,
-) -> np.ndarray:
-    """Draw target values whose fully observed part is exactly normal under selection.
-
-    Verification utility. Returns one target value per row of ``mean`` from the
-    equal-variance normal mixture with component j (j = 0..indicators) centred
-    at ``mean - j * psi1 * sigma2`` and log weight
-
-        log C(indicators, j) - j * (psi0 + psi_z . z) - j * psi1 * mean
-        + j^2 * psi1^2 * sigma2 / 2.
-
-    With ``indicators`` independent response draws from the selection model, the
-    subpopulation observed in all of them is then N(mean, sigma2) row-wise, and
-    each additional miss shifts the conditional mean down by exactly
-    ``psi1 * sigma2``. Used by the distribution checks in the test suite; the
-    identity does not hold for an arbitrary marginal target distribution.
-    """
-    if not sigma2 > 0:
-        raise InvalidParameter("sigma2 must be positive")
-    if indicators < 1:
-        raise InvalidParameter("indicators must be >= 1")
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    n = mean.shape[0]
-    zmat = _covariate_matrix(covariates if covariates is not None else np.zeros((n, 0)), n, len(params.psi_z))
-    base = params.psi0 + zmat @ params.psi_z
-
-    j = np.arange(indicators + 1, dtype=float)
-    log_binom = np.array(
-        [math.log(math.comb(indicators, k)) for k in range(indicators + 1)]
-    )
-    log_w = (
-        log_binom[None, :]
-        - j[None, :] * (base[:, None] + params.psi1 * mean[:, None])
-        + 0.5 * (j[None, :] ** 2) * params.psi1**2 * sigma2
-    )
-    log_w -= log_w.max(axis=1, keepdims=True)
-    weights = np.exp(log_w)
-    weights /= weights.sum(axis=1, keepdims=True)
-
-    u = rng.generator.random(n)
-    component = (np.cumsum(weights, axis=1) < u[:, None]).sum(axis=1)
-    shift = component * params.psi1 * sigma2
-    return mean - shift + np.sqrt(sigma2) * rng.generator.standard_normal(n)

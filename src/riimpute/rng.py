@@ -68,22 +68,6 @@ class RngStream:
             self._generator = np.random.Generator(np.random.Philox(key=key))
         return self._generator
 
-    def child(self, *parts: int | str) -> "RngStream":
-        """Derive an independent stream keyed by this stream's id and `parts`."""
-        return RngStream(self.seed, mix_stream_id(self.stream_id, *parts))
-
-
-def sample_normal(mean, variance, rng: RngStream, size: int | None = None):
-    """Draw from N(mean, variance); variance 0 returns the mean exactly."""
-    mean = np.asarray(mean, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    if np.any(variance < 0) or not np.all(np.isfinite(variance)):
-        raise InvalidParameter("variance must be finite and >= 0")
-    shape = size if size is not None else np.broadcast(mean, variance).shape
-    z = rng.generator.standard_normal(shape)
-    out = mean + np.sqrt(variance) * z
-    return float(out) if out.ndim == 0 else out
-
 
 def sample_mvnormal(mean, covariance, rng: RngStream) -> np.ndarray:
     """Draw one vector from a multivariate normal with PSD covariance.
@@ -116,12 +100,11 @@ def sample_scaled_inv_chi2(df: float, scale: float, rng: RngStream, size: int | 
     return float(draw) if size is None else draw
 
 
-def sample_bernoulli(p, rng: RngStream, size: int | None = None):
+def sample_bernoulli(p, rng: RngStream):
     """Draw 0/1 with success probability p; exact at p = 0 and p = 1."""
     p = np.asarray(p, dtype=float)
     if np.any(p < 0) or np.any(p > 1) or not np.all(np.isfinite(p)):
         raise InvalidParameter("p must lie in [0, 1]")
-    shape = size if size is not None else p.shape
-    u = rng.generator.random(shape)
+    u = rng.generator.random(p.shape)
     out = (u < p).astype(np.int8)
     return int(out) if out.ndim == 0 else out

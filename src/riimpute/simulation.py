@@ -340,9 +340,13 @@ def parse_scenario_file(path) -> ScenarioConfig:
 
     def _floats(text: str, count: int, key: str) -> tuple[float, ...]:
         parts = [p for chunk in text.split(",") for p in chunk.split()]
-        if len(parts) != count:
-            raise InvalidParameter(f"{key} needs {count} numbers, got {text!r}")
-        return tuple(float(p) for p in parts)
+        try:
+            values = tuple(float(p) for p in parts)
+        except ValueError:
+            values = ()
+        if len(values) != count:
+            raise InvalidParameter(f"{path}: {key} needs {count} numbers, got {text!r}")
+        return values
 
     beta_text = raw.get("beta", "strong")
     if beta_text in BETA_SETTINGS:
@@ -360,7 +364,10 @@ def parse_scenario_file(path) -> ScenarioConfig:
         )
 
     def _int(key: str, default: int) -> int:
-        return int(raw[key]) if key in raw else default
+        try:
+            return int(raw[key]) if key in raw else default
+        except ValueError as exc:
+            raise InvalidParameter(f"{path}: {key} must be an integer, got {raw[key]!r}") from exc
 
     return ScenarioConfig(
         beta=beta,

@@ -16,16 +16,15 @@ from riimpute import (
     NonresponseParams,
     RngStream,
     builtin_scenario,
-    cell_means,
     format_result_table,
     generate_complete_data,
     generate_missingness,
     logistic_fit,
     rubin_pool,
     run_scenario,
-    sample_selection_population,
 )
 
+from selection_oracle import cell_means, sample_selection_population
 from test_fitters import coordinate_search_mle
 
 ACCEPTANCE_SEED = 7
@@ -269,13 +268,15 @@ def test_criterion_5_cross_classified_cells(capsys):
             return x[sel].std() / np.sqrt(sel.sum())
 
         off_diag_se = np.hypot(cell_se(1, 0), cell_se(0, 1))
-        if abs(cells.mu10 - cells.mu01) > 4.0 * off_diag_se:
+        if abs(cells[1, 0] - cells[0, 1]) > 4.0 * off_diag_se:
             failures.append(f"psi1={psi1}: off-diagonal means differ")
         delta = psi1 * sigma2
-        if abs(cells.delta_observed - delta) > 4.0 * np.hypot(cell_se(1, 1), cell_se(1, 0)):
-            failures.append(f"psi1={psi1}: observed-part difference {cells.delta_observed:.4f}")
-        if abs(cells.delta_missing - delta) > 4.0 * np.hypot(cell_se(0, 1), cell_se(0, 0)):
-            failures.append(f"psi1={psi1}: missing-part difference {cells.delta_missing:.4f}")
+        delta_observed = cells[1, 1] - cells[1, 0]
+        delta_missing = cells[0, 1] - cells[0, 0]
+        if abs(delta_observed - delta) > 4.0 * np.hypot(cell_se(1, 1), cell_se(1, 0)):
+            failures.append(f"psi1={psi1}: observed-part difference {delta_observed:.4f}")
+        if abs(delta_missing - delta) > 4.0 * np.hypot(cell_se(0, 1), cell_se(0, 0)):
+            failures.append(f"psi1={psi1}: missing-part difference {delta_missing:.4f}")
     ok = not failures
     _report(capsys, 5, ok,
             "off-diagonal equality and both cell differences match slope*variance"

@@ -284,6 +284,21 @@ def test_simulate_scenario_file(tmp_path):
     assert len(body) == 1 + 9
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["n = abc", "replications = 2.5", "m = five", "iterations = ten", "seed = 1e3",
+     "beta = 1, x, 2", "psi = 1, x, 2"],
+)
+def test_simulate_scenario_file_non_numeric_value_exits_2(tmp_path, capsys, line):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(f"mechanism = mcar\n{line}\n", encoding="utf-8")
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--scenario-file", str(scenario), "--output", str(out)]) == 2
+    key = line.split("=")[0].strip()
+    assert f"error: InvalidParameter: {scenario}: {key} " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_byte_identical_across_thread_counts(tmp_path):
     args = ["simulate", "--scenario", "mnar1", "--beta", "moderate", "-n", "300",
             "--replications", "6", "--seed", "9"]
@@ -293,6 +308,22 @@ def test_simulate_byte_identical_across_thread_counts(tmp_path):
     body1 = [l for l in out1.read_text().splitlines() if not l.startswith("# command")]
     body2 = [l for l in out2.read_text().splitlines() if not l.startswith("# command")]
     assert body1 == body2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["impute", "{missing}", "--target", "x1", "--output-prefix", "{out}"],
+        ["density", "{missing}", "--column", "x1", "--output", "{out}"],
+        ["simulate", "--scenario-file", "{missing}", "--output", "{out}"],
+    ],
+    ids=["impute", "density", "simulate"],
+)
+def test_missing_input_file_exits_2(tmp_path, capsys, argv):
+    missing = tmp_path / "nonexistent.csv"
+    out = tmp_path / "out"
+    assert main([arg.format(missing=missing, out=out) for arg in argv]) == 2
+    assert f"error: cannot read {missing}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

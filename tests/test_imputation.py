@@ -13,7 +13,6 @@ from riimpute import (
     RiConfig,
     RngStream,
     TooFewRows,
-    cell_means,
     complete_case,
     draw_psi_posterior,
     estimate_adjustment,
@@ -25,8 +24,9 @@ from riimpute import (
     rubin_pool,
     fit_analysis,
     sample_mvnormal,
-    sample_selection_population,
 )
+
+from selection_oracle import cell_means, sample_selection_population
 
 
 def indicator(bits):
@@ -233,7 +233,7 @@ def test_psi_draw_is_fit_estimate_plus_normal_deviate():
     fit = _selection_fit(x, z, r)
     expected = sample_mvnormal(fit.coefficients, fit.covariance, RngStream(45, 3))
     params = draw_psi_posterior(x, z, r, RngStream(45, 3))
-    assert params.as_vector().tolist() == expected.tolist()
+    assert [params.psi0, params.psi1, *params.psi_z] == expected.tolist()
     assert params.psi_z.shape == (2,)
 
 
@@ -246,9 +246,11 @@ def test_draw_covariance_matches_fit_covariance():
     fit = _selection_fit(x, z, r_bits)
 
     rng = RngStream(45, 1)
-    draws = np.vstack(
-        [draw_psi_posterior(x, z, r_bits, rng).as_vector() for _ in range(10_000)]
-    )
+    draws = []
+    for _ in range(10_000):
+        params = draw_psi_posterior(x, z, r_bits, rng)
+        draws.append([params.psi0, params.psi1, *params.psi_z])
+    draws = np.array(draws)
     emp = np.cov(draws.T)
     rel = np.linalg.norm(emp - fit.covariance) / np.linalg.norm(fit.covariance)
     assert rel < 0.05
@@ -415,17 +417,15 @@ def test_complete_case_too_few_rows():
 
 
 # ---------------------------------------------------------------------------
-# cell_means
+# cell_means, the cross-classification oracle in tests/selection_oracle.py
 
 
 def test_cell_means_all_observed_single_cell():
     target = np.array([1.0, 2.0, 3.0])
     ones = indicator([1, 1, 1])
     cells = cell_means(target, ones, ones)
-    assert cells.mu11 == pytest.approx(2.0)
-    assert cells.counts == (3, 0, 0, 0)
-    assert set(cells.empty_cells) == {"10", "01", "00"}
-    assert cells.grand_mean == pytest.approx(2.0)
+    assert cells[1, 1] == pytest.approx(2.0)
+    assert np.isnan(cells).tolist() == [[True, True], [True, False]]
 
 
 def test_cell_means_hand_built():
@@ -433,9 +433,7 @@ def test_cell_means_hand_built():
     r = indicator([1, 1, 1, 0, 0, 0])
     rdot = indicator([1, 1, 0, 1, 1, 0])
     cells = cell_means(target, r, rdot)
-    assert (cells.mu11, cells.mu10, cells.mu01, cells.mu00) == (4.0, 2.0, 2.0, 0.0)
-    assert cells.delta_observed == pytest.approx(2.0)
-    assert cells.delta_missing == pytest.approx(2.0)
+    assert cells.tolist() == [[0.0, 2.0], [2.0, 4.0]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -446,4 +444,6 @@ def test_cell_means_recombine_to_grand_mean(n, seed):
     r = (gen.random(n) < 0.5).astype(int)
     rdot = (gen.random(n) < 0.5).astype(int)
     cells = cell_means(target, r, rdot)
-    assert abs(cells.grand_mean - target.mean()) < 1e-10
+    counts = np.bincount(2 * r + rdot, minlength=4).reshape(2, 2)
+    grand_mean = np.nansum(cells * counts) / n
+    assert abs(grand_mean - target.mean()) < 1e-10

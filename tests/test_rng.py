@@ -7,7 +7,6 @@ from riimpute import (
     mix_stream_id,
     sample_bernoulli,
     sample_mvnormal,
-    sample_normal,
     sample_scaled_inv_chi2,
 )
 
@@ -48,29 +47,6 @@ def test_mix_stream_id_is_stable_and_sensitive():
     assert mix_stream_id("ri", 3, 4) != mix_stream_id("ri", 4, 3)
     assert mix_stream_id("a") != mix_stream_id("b")
     assert 0 <= mix_stream_id("anything", 10**12) < 2**64
-
-
-def test_child_streams_are_deterministic():
-    parent = RngStream(11, 5)
-    c1 = parent.child("chain", 0)
-    c2 = RngStream(11, 5).child("chain", 0)
-    assert (c1.seed, c1.stream_id) == (c2.seed, c2.stream_id)
-    assert c1.stream_id != parent.child("chain", 1).stream_id
-
-
-def test_sample_normal_zero_variance_returns_mean(rng):
-    assert sample_normal(3.25, 0.0, rng) == 3.25
-
-
-def test_sample_normal_moments(rng):
-    draws = sample_normal(2.0, 9.0, rng, size=200_000)
-    assert abs(draws.mean() - 2.0) < 0.03
-    assert abs(draws.std() - 3.0) < 0.03
-
-
-def test_sample_normal_rejects_negative_variance(rng):
-    with pytest.raises(InvalidParameter):
-        sample_normal(0.0, -1.0, rng)
 
 
 def test_sample_bernoulli_degenerate_probabilities(rng):
