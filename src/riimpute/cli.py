@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,9 @@ def _resolve_seed(value: int | None) -> int:
 # ---------------------------------------------------------------------------
 # CSV handling: comma separated, one header row, '.' decimal separator, UTF-8.
 # Missing cells read as empty field or literal NA and written as empty fields;
-# cells that parse to a non-finite float (inf, nan, ...) are rejected.
+# cells that parse to a non-finite float (inf, nan, ...) are rejected. Cells are
+# written with %.17g, so a written file reads back bit for bit. Error messages
+# give the physical line, comment and blank lines included.
 
 
 def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
@@ -120,45 +123,71 @@ def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
             rows = [row for row in csv.reader(handle) if row and not row[0].startswith("#")]
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliInputError(
+            f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})"
+        ) from exc
     if not rows:
         raise CliInputError(f"{path}: empty file")
     header = [name.strip() for name in rows[0]]
     if len(set(header)) != len(header):
         raise CliInputError(f"{path}: duplicate column names in header")
     data = {name: np.empty(len(rows) - 1) for name in header}
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
-            raise CliInputError(f"{path}:{i}: expected {len(header)} fields, got {len(row)}")
+            raise CliInputError(f"{_where(path, i)}: expected {len(header)} fields, got {len(row)}")
         for name, cell in zip(header, row):
             cell = cell.strip()
             if cell == "" or cell == "NA":
-                data[name][i - 2] = np.nan
+                data[name][i - 1] = np.nan
                 continue
             try:
                 value = float(cell)
             except ValueError as exc:
-                raise CliInputError(f"{path}:{i}: non-numeric value {cell!r}") from exc
+                raise CliInputError(f"{_where(path, i)}: non-numeric value {cell!r}") from exc
             if not math.isfinite(value):
-                raise CliInputError(f"{path}:{i}: non-finite value {cell!r}")
-            data[name][i - 2] = value
+                raise CliInputError(f"{_where(path, i)}: non-finite value {cell!r}")
+            data[name][i - 1] = value
     return header, data
 
 
-def _format_cell(value: float) -> str:
-    return "" if np.isnan(value) else f"{value:.17g}"
+def _where(path: Path, index: int) -> str:
+    """``path:line`` for ``read_csv_columns``'s row ``index`` (0 = header).
+
+    The line is the physical line the row ends on. It is found by reading the
+    file again, so only an error message pays for it.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        kept = (reader.line_num for row in reader if row and not row[0].startswith("#"))
+        return f"{path}:{next(islice(kept, index, None))}"
+
+
+# rows formatted per write: bounds the text held at once to a few hundred kB
+_CSV_CHUNK_ROWS = 4096
 
 
 def write_csv_columns(
     path: Path, header: list[str], columns: dict[str, np.ndarray], record: CliRunRecord
 ) -> None:
-    length = len(next(iter(columns.values())))
+    """Write ``columns`` in ``header`` order, cells as ``%.17g`` and NaN as empty.
+
+    Rows are formatted a chunk at a time with one ``%`` over the chunk's
+    values; the bytes are those ``csv.writer`` gives row by row (numeric
+    fields need no quoting, and a row of one empty field is written ``""``).
+    """
+    table = np.column_stack([columns[name] for name in header])
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    # "nan" is the only %.17g token containing "nan"
+    empty = '""' if len(header) == 1 else ""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         for line in record.header_lines():
             handle.write(f"# {line}\n")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(length):
-            writer.writerow([_format_cell(columns[name][i]) for name in header])
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        for start in range(0, len(table), _CSV_CHUNK_ROWS):
+            chunk = table[start:start + _CSV_CHUNK_ROWS]
+            text = (row_format * len(chunk)) % tuple(chunk.ravel().tolist())
+            handle.write(text.replace("nan", empty))
 
 
 def _require_columns(header: list[str], wanted: list[str], path: Path) -> None:

@@ -320,8 +320,14 @@ def parse_scenario_file(path) -> ScenarioConfig:
     to the builtin values for the mechanism. Lines starting with '#' are
     comments.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter(
+            f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})"
+        ) from exc
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

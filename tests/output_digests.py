@@ -11,9 +11,11 @@ zero-shift fallback; the n = 20 near-separated dataset takes it twice),
 ``mar_impute``,
 ``run_scenario`` + ``format_result_table`` for all ten builtin scenarios, and
 the files written by the CLI commands ``impute`` (ri, mar and cc at m = 5),
-``simulate`` and ``density``. It uses only names that are public in every
-version of the package and draws its data with numpy directly. Takes about a
-minute on one core.
+``simulate`` and ``density``. The CLI input carries an incomplete column ``x4``
+that is no covariate, so ``impute`` copies its empty cells and edge values
+(-0.0, a subnormal, the largest float) through the CSV writer. It uses only
+names that are public in every version of the package and draws its data with
+numpy directly. Takes about a minute on one core.
 """
 
 from __future__ import annotations
@@ -80,6 +82,15 @@ def near_separated_data() -> IncompleteDataset:
     return IncompleteDataset(np.where(observed, x, np.nan), np.zeros((20, 0)))
 
 
+def passthrough_column(n: int) -> np.ndarray:
+    """Every third cell missing, plus values whose formatting is easy to get wrong."""
+    values = np.random.default_rng([5, n, 4]).normal(0.0, 1e3, n)
+    values[::3] = np.nan
+    values[1:12] = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e-300, 2.0, -7.0, 1e16,
+                    0.1, -2.5e-8, 123456789.0]
+    return values
+
+
 class _FallbackCounter(logging.Handler):
     def __init__(self) -> None:
         super().__init__(level=logging.WARNING)
@@ -134,9 +145,9 @@ def cli_digests() -> list[str]:
         try:
             data = mnar_data(5, 400)
             with open("input.csv", "w", encoding="utf-8") as handle:
-                handle.write("x1,x2,x3\n")
-                for x, (a, b) in zip(data.target, data.covariates):
-                    cells = ["" if np.isnan(v) else repr(float(v)) for v in (x, a, b)]
+                handle.write("x1,x2,x3,x4\n")
+                for x, (a, b), c in zip(data.target, data.covariates, passthrough_column(400)):
+                    cells = ["" if np.isnan(v) else repr(float(v)) for v in (x, a, b, c)]
                     handle.write(",".join(cells) + "\n")
             commands = [
                 ["impute", "input.csv", "--target", "x1", "--covariates", "x2,x3",

@@ -134,6 +134,52 @@ def test_impute_non_finite_covariate_exits_2(tmp_path, capsys, cell):
     assert list(tmp_path.glob("o_*")) == []
 
 
+def test_csv_error_names_physical_line(tmp_path, capsys):
+    csv_path = tmp_path / "ln.csv"
+    csv_path.write_text("# a\n# b\n\nx,y\n1,2\n3,abc\n4,5\n", encoding="utf-8")
+    code = main([
+        "impute", str(csv_path), "--target", "x", "--covariates", "y",
+        "--method", "mar", "--seed", "1", "--output-prefix", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert f"{csv_path}:6: non-numeric value 'abc'" in capsys.readouterr().err
+
+
+def test_density_error_in_cli_output_names_physical_line(tmp_path, capsys):
+    # every CLI output file starts with comment lines, which count
+    csv_path = tmp_path / "data.csv"
+    mnar_csv(csv_path, n=200)
+    assert main([
+        "impute", str(csv_path), "--target", "x1", "--covariates", "x2,x3",
+        "--method", "mar", "-m", "2", "--seed", "1", "--output-prefix", str(tmp_path / "o"),
+    ]) == 0
+    out_csv = tmp_path / "o_imp1.csv"
+    lines = out_csv.read_text(encoding="utf-8").splitlines()
+    assert lines[4].startswith("x1,")  # four comment lines, then the header
+    lines[9] = lines[9] + ",1"
+    out_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["density", str(out_csv), "--column", "x1",
+                 "--output", str(tmp_path / "d.csv")]) == 2
+    assert f"{out_csv}:10: expected 3 fields, got 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["impute", "{bad}", "--target", "x1", "--covariates", "x2", "--output-prefix", "{out}"],
+        ["density", "{bad}", "--column", "x1", "--output", "{out}"],
+    ],
+    ids=["impute", "density"],
+)
+def test_non_utf8_csv_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"x1,x2\n1.0,2.0\n\xff\xfe,3.0\n")
+    out = tmp_path / "out"
+    assert main([arg.format(bad=bad, out=out) for arg in argv]) == 2
+    assert f"error: {bad}: not valid UTF-8" in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
+
+
 def test_impute_single_imputation_writes_no_pooled_json(tmp_path, capsys):
     csv_path = tmp_path / "data.csv"
     mnar_csv(csv_path, n=300)
@@ -296,6 +342,15 @@ def test_simulate_scenario_file_non_numeric_value_exits_2(tmp_path, capsys, line
     assert main(["simulate", "--scenario-file", str(scenario), "--output", str(out)]) == 2
     key = line.split("=")[0].strip()
     assert f"error: InvalidParameter: {scenario}: {key} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_scenario_file_not_utf8_exits_2(tmp_path, capsys):
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_bytes(b"mechanism = mcar\nn = \xff\n")
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--scenario-file", str(scenario), "--output", str(out)]) == 2
+    assert f"error: InvalidParameter: {scenario}: not valid UTF-8" in capsys.readouterr().err
     assert not out.exists()
 
 
