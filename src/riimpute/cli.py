@@ -5,10 +5,10 @@ runs a Monte Carlo scenario and writes the results table, ``density`` writes
 kernel density curves for plotting elsewhere.
 
 Exit codes: 0 on success, 2 for unusable input (parse failures, missing
-columns, too few rows), 3 for statistical failure (separation, rank
-deficiency, degenerate samples). Output files are byte-identical across runs
-with the same command line and seed; each carries comment lines citing the
-command, seed, package version and an input content digest.
+columns, too few rows), 3 for statistical failure (rank deficiency,
+non-convergence, degenerate samples). Output files are byte-identical across
+runs with the same command line and seed; each carries comment lines citing
+the command, seed, package version and an input content digest.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .errors import (
     NonConvergence,
     RankDeficient,
     RiImputeError,
-    Separation,
     TooFewRows,
 )
 from .imputation import IncompleteDataset, RiConfig, complete_case, mar_impute, ri_impute
@@ -53,7 +52,7 @@ SEED_ENV_VAR = "RIIMPUTE_SEED"
 DEFAULT_SEED = 54321
 
 _INPUT_ERRORS = (InvalidParameter, DimensionMismatch, TooFewRows)
-_STATISTICAL_ERRORS = (Separation, NonConvergence, RankDeficient, DegenerateRdot, DegenerateSample)
+_STATISTICAL_ERRORS = (NonConvergence, RankDeficient, DegenerateRdot, DegenerateSample)
 
 
 class CliInputError(RiImputeError):
@@ -424,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("-m", type=int, default=5)
     p_sim.add_argument("--iterations", type=int, default=10)
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--jobs", type=int, default=1)
+    p_sim.add_argument("--jobs", type=int, default=1,
+                       help="forked worker processes for the replications (>= 1)")
     p_sim.add_argument("--output", required=True)
     p_sim.set_defaults(func=_cmd_simulate)
 

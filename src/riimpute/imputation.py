@@ -23,6 +23,7 @@ from .errors import (
     DegenerateRdot,
     DimensionMismatch,
     InvalidParameter,
+    Separation,
     TooFewRows,
 )
 from .fitters import LinearFit, logistic_fit, ols_fit
@@ -254,7 +255,8 @@ def ri_impute(
     selection model (default: all of them). If the drawn pseudo indicator is
     constant among observed rows it is redrawn up to ``MAX_RDOT_REDRAWS``
     times, after which the sweep falls back to an unshifted imputation and
-    logs a warning.
+    logs a warning. A sweep whose selection-model fit separates takes the
+    same fallback and warning.
     """
     if data.n_missing == 0:
         logger.warning(
@@ -274,7 +276,12 @@ def ri_impute(
         completed = data.target.copy()
         completed[~obs] = rng.generator.choice(observed_values, size=data.n_missing, replace=True)
         for _ in range(config.iterations):
-            psi_dot = draw_psi_posterior(completed, z_nr, obs, rng)
+            try:
+                psi_dot = draw_psi_posterior(completed, z_nr, obs, rng)
+            except Separation:
+                logger.warning("selection model separated; sweep uses zero shift")
+                completed = _impute_draw(data, _mar_fit(data), rng)
+                continue
             for _ in range(MAX_RDOT_REDRAWS + 1):
                 rdot = generate_missingness(completed, z_nr, psi_dot, rng)
                 try:

@@ -7,12 +7,14 @@ builtin selection settings cover ignorable and increasingly nonignorable
 mechanisms at two association strengths. Replications are deterministic given
 the master seed: every random draw comes from a stream keyed by the scenario
 and the replication index, so results do not depend on execution order or
-thread count.
+the number of worker processes.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import itertools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -197,28 +199,34 @@ def run_replication(config: ScenarioConfig, replication_index: int) -> Replicati
     return ReplicationResult(estimates=estimates, missing_fraction=data.n_missing / config.n)
 
 
+def _one(config: ScenarioConfig, i: int) -> ReplicationResult | None:
+    try:
+        return run_replication(config, i)
+    except RiImputeError:
+        return None
+
+
 def run_scenario(config: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     """Aggregate all replications of one scenario.
 
-    Failed replications (separation and the like) are recorded and skipped;
-    the run errors out only when more than 5% of them fail. Results are
-    identical for any ``n_jobs`` >= 1.
+    With ``n_jobs`` > 1 the replications run in that many forked worker
+    processes (at most one per replication). Failed replications
+    (non-convergence, too few rows and the like) are recorded and skipped; the
+    run errors out only when more than 5% of them fail. Results are identical for any ``n_jobs`` >= 1.
     """
     if n_jobs < 1:
         raise InvalidParameter(f"n_jobs must be >= 1, got {n_jobs}")
     indices = range(config.replications)
-
-    def _one(i: int) -> ReplicationResult | None:
-        try:
-            return run_replication(config, i)
-        except RiImputeError:
-            return None
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(_one, indices))
+    workers = min(n_jobs, config.replications)
+    if workers > 1:
+        # fork: a spawned or forkserver worker re-imports numpy and riimpute
+        # (about 0.8 s), longer than a small scenario takes to run.
+        context = multiprocessing.get_context("fork")
+        chunksize = max(1, config.replications // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            outcomes = list(pool.map(_one, itertools.repeat(config), indices, chunksize=chunksize))
     else:
-        outcomes = [_one(i) for i in indices]
+        outcomes = [_one(config, i) for i in indices]
 
     successes = [o for o in outcomes if o is not None]
     failed = config.replications - len(successes)
@@ -289,10 +297,16 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 def _kde_on_grid(values: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
     density = np.zeros_like(grid)
     norm_const = 1.0 / (len(values) * bandwidth * np.sqrt(2.0 * np.pi))
+    buffer = np.empty((len(grid), min(len(values), 8192)))
     for start in range(0, len(values), 8192):
         block = values[start : start + 8192]
-        z = (grid[:, None] - block[None, :]) / bandwidth
-        density += np.exp(-0.5 * z * z).sum(axis=1)
+        kernel = buffer[:, : len(block)]
+        np.subtract(grid[:, None], block[None, :], out=kernel)
+        kernel /= bandwidth
+        kernel *= kernel
+        kernel *= -0.5
+        np.exp(kernel, out=kernel)
+        density += kernel.sum(axis=1)
     return density * norm_const
 
 

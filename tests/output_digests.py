@@ -7,11 +7,12 @@ the draws and the output files bit for bit as they were:
     PYTHONPATH=src python tests/output_digests.py
 
 It covers ``ri_impute`` (n = 9 to 20 000, printing how many sweeps took the
-zero-shift fallback; the n = 20 near-separated dataset takes it twice),
-``mar_impute``,
-``run_scenario`` + ``format_result_table`` for all ten builtin scenarios, and
-the files written by the CLI commands ``impute`` (ri, mar and cc at m = 5),
-``simulate`` and ``density``. The CLI input carries an incomplete column ``x4``
+zero-shift fallback because the pseudo indicator was degenerate or the
+selection-model fit separated; the n = 20 near-separated dataset takes it
+twice), ``mar_impute``, ``run_scenario`` + ``format_result_table`` for all ten
+builtin scenarios (serially and in two worker processes, which must print the
+same digest), and the files written by the CLI commands ``impute`` (ri, mar
+and cc at m = 5), ``simulate`` and ``density``. The CLI input carries an incomplete column ``x4``
 that is no covariate, so ``impute`` copies its empty cells and edge values
 (-0.0, a subnormal, the largest float) through the CSV writer. It uses only
 names that are public in every version of the package and draws its data with
@@ -125,15 +126,17 @@ def library_digests() -> list[str]:
         logger.removeHandler(counter)
         logger.propagate = True
 
-    results = []
-    for beta_set in ("strong", "moderate"):
-        for mechanism in ("mcar", "mar", "mnar1", "mnar2", "mnar3"):
-            config = builtin_scenario(mechanism, beta_set, n=SCENARIO_N,
-                                      replications=SCENARIO_REPLICATIONS, master_seed=7)
-            results.append(run_scenario(config))
-    table = format_result_table(results, ("output digests",))
-    lines.append(f"run_scenario+format_result_table x10 "
-                 f"{hashlib.sha256(table.encode()).hexdigest()}")
+    for n_jobs in (1, 2):
+        results = []
+        for beta_set in ("strong", "moderate"):
+            for mechanism in ("mcar", "mar", "mnar1", "mnar2", "mnar3"):
+                config = builtin_scenario(mechanism, beta_set, n=SCENARIO_N,
+                                          replications=SCENARIO_REPLICATIONS, master_seed=7)
+                results.append(run_scenario(config, n_jobs=n_jobs))
+        table = format_result_table(results, ("output digests",))
+        label = "" if n_jobs == 1 else f" n_jobs={n_jobs}"
+        lines.append(f"run_scenario+format_result_table x10{label} "
+                     f"{hashlib.sha256(table.encode()).hexdigest()}")
     return lines
 
 

@@ -3,7 +3,8 @@
 Each test prints one PASS/FAIL line (bypassing capture) and then asserts, so a
 full run shows the status of every criterion. The Monte Carlo grid (ten
 scenarios at n = 1000, 200 replications, m = 5, 10 sweeps) is computed once per
-session and shared; a second threaded run backs the determinism check.
+session and shared; a second run in four worker processes backs the
+determinism check.
 """
 
 import time
@@ -131,7 +132,7 @@ def table2_grid():
 
 
 @pytest.fixture(scope="session")
-def table2_grid_threaded():
+def table2_grid_workers():
     return _grid(n_jobs=4)
 
 
@@ -348,14 +349,14 @@ def test_criterion_7_estimator_unit_oracles(capsys):
     assert ok, failures
 
 
-def test_criterion_8_thread_count_determinism(capsys, table2_grid, table2_grid_threaded):
+def test_criterion_8_worker_count_determinism(capsys, table2_grid, table2_grid_workers):
     serial, _ = table2_grid
-    threaded = table2_grid_threaded
+    workers = table2_grid_workers
     order = [(m, b) for m in MECHANISMS for b in BETA_SETS]
     table_serial = format_result_table([serial[key] for key in order])
-    table_threaded = format_result_table([threaded[key] for key in order])
-    ok = table_serial.encode() == table_threaded.encode()
+    table_workers = format_result_table([workers[key] for key in order])
+    ok = table_serial.encode() == table_workers.encode()
     _report(capsys, 8, ok,
-            "serial and 4-thread grids render byte-identical tables"
-            if ok else "tables differ between thread counts")
+            "serial and 4-worker-process grids render byte-identical tables"
+            if ok else "tables differ between worker-process counts")
     assert ok

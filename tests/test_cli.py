@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -211,6 +212,25 @@ def test_impute_statistical_failure_exits_3(tmp_path):
     assert code == 3
 
 
+def test_impute_separated_selection_fit_exits_0_with_warning(tmp_path, caplog):
+    # 3 of 20 rows missing: the selection fit separates in most sweeps, which
+    # take the zero-shift fallback instead of failing the command
+    csv_path = tmp_path / "small.csv"
+    gen = RngStream(0, 20).generator
+    z = gen.standard_normal(20)
+    y = 1.0 + 0.5 * z + gen.standard_normal(20)
+    y[[2, 9, 15]] = np.nan
+    write_csv(csv_path, ["y", "z"], {"y": y, "z": z})
+    with caplog.at_level(logging.WARNING, logger="riimpute.imputation"):
+        code = main([
+            "impute", str(csv_path), "--target", "y", "--covariates", "z",
+            "--method", "ri", "--seed", "0", "--output-prefix", str(tmp_path / "s"),
+        ])
+    assert code == 0
+    assert (tmp_path / "s_pooled.json").exists()
+    assert any("separated" in record.message for record in caplog.records)
+
+
 def test_impute_cc_writes_filtered_rows(tmp_path):
     csv_path = tmp_path / "data.csv"
     x1, target = mnar_csv(csv_path, n=200)
@@ -354,7 +374,7 @@ def test_simulate_scenario_file_not_utf8_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_simulate_byte_identical_across_thread_counts(tmp_path):
+def test_simulate_byte_identical_across_job_counts(tmp_path):
     args = ["simulate", "--scenario", "mnar1", "--beta", "moderate", "-n", "300",
             "--replications", "6", "--seed", "9"]
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"

@@ -326,6 +326,24 @@ def test_ri_no_missing_returns_copies(caplog):
     assert any("no missing" in record.message for record in caplog.records)
 
 
+def test_ri_separated_selection_fit_falls_back_to_zero_shift(caplog):
+    # 3 of 20 rows missing: the selection fit on the completed data separates
+    # in most sweeps, which used to abort the whole run
+    gen = RngStream(0, 20).generator
+    z = gen.standard_normal(20)
+    target = 1.0 + 0.5 * z + gen.standard_normal(20)
+    target[[2, 9, 15]] = np.nan
+    data = IncompleteDataset(target, z[:, None])
+    with caplog.at_level(logging.WARNING, logger="riimpute.imputation"):
+        out = ri_impute(data, RiConfig(iterations=10, num_imputations=5, seed=0))
+    assert len(out) == 5
+    for completed in out:
+        assert np.all(np.isfinite(completed))
+        assert np.array_equal(completed[data.observed_mask], target[data.observed_mask])
+    assert any("separated" in record.message and "zero shift" in record.message
+               for record in caplog.records)
+
+
 def test_ri_deterministic_given_seed():
     data, _ = _mnar_dataset(50)
     config = RiConfig(iterations=5, num_imputations=3, seed=99)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from riimpute import (
     NONRESPONSE_SETTINGS,
     DegenerateSample,
     InvalidParameter,
+    RiImputeError,
     RngStream,
     builtin_scenario,
     density_summary,
@@ -16,7 +19,8 @@ from riimpute import (
     run_scenario,
     silverman_bandwidth,
 )
-from riimpute.simulation import ScenarioConfig
+from riimpute import simulation
+from riimpute.simulation import ScenarioConfig, _kde_on_grid
 
 
 def test_builtin_settings_tables():
@@ -89,11 +93,67 @@ def test_single_replication_coverage_is_binary():
         assert set(result.methods[method].coverage_rate.tolist()) <= {0.0, 1.0}
 
 
-def test_run_scenario_thread_count_invariance():
-    config = builtin_scenario("mnar2", "moderate", n=300, replications=12, master_seed=23)
+def _assert_same_result(a, b):
+    """Every field of two ScenarioResults equal bit for bit."""
+    assert a.config is b.config
+    assert a.failed_replications == b.failed_replications
+    assert np.float64(a.mean_missing_fraction).tobytes() == (
+        np.float64(b.mean_missing_fraction).tobytes()
+    )
+    assert a.methods.keys() == b.methods.keys()
+    for method, summary in a.methods.items():
+        for field in ("mean_estimate", "coverage_rate", "mc_se"):
+            assert getattr(summary, field).tobytes() == getattr(b.methods[method], field).tobytes()
+
+
+@pytest.mark.parametrize("replications", [1, 7])
+def test_run_scenario_worker_count_invariance(replications):
+    config = builtin_scenario("mnar2", "moderate", n=300, replications=replications,
+                              master_seed=23)
     serial = run_scenario(config, n_jobs=1)
-    threaded = run_scenario(config, n_jobs=4)
-    assert format_result_table([serial]) == format_result_table([threaded])
+    for n_jobs in (2, 3):
+        _assert_same_result(serial, run_scenario(config, n_jobs=n_jobs))
+
+
+def _fail_at(monkeypatch, failing, error):
+    """Make ``run_replication`` raise ``error`` for the indices in ``failing``.
+
+    Forked workers inherit the patched module global.
+    """
+    original = simulation.run_replication
+
+    def patched(config, i):
+        if i in failing:
+            raise error(f"injected failure at replication {i}")
+        return original(config, i)
+
+    monkeypatch.setattr(simulation, "run_replication", patched)
+
+
+def test_run_scenario_workers_skip_failures_under_five_percent(monkeypatch):
+    config = builtin_scenario("mcar", "strong", n=100, replications=20, m=2, iterations=2,
+                              master_seed=37)
+    _fail_at(monkeypatch, {13}, RiImputeError)
+    serial = run_scenario(config, n_jobs=1)
+    assert serial.failed_replications == 1
+    _assert_same_result(serial, run_scenario(config, n_jobs=2))
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_run_scenario_workers_raise_over_five_percent(monkeypatch, n_jobs):
+    config = builtin_scenario("mcar", "strong", n=100, replications=20, m=2, iterations=2,
+                              master_seed=37)
+    _fail_at(monkeypatch, {3, 17}, RiImputeError)
+    with pytest.raises(RiImputeError, match="2 of 20 replications failed"):
+        run_scenario(config, n_jobs=n_jobs)
+
+
+def test_run_scenario_worker_propagates_non_library_error(monkeypatch):
+    config = builtin_scenario("mcar", "strong", n=100, replications=6, m=2, iterations=2,
+                              master_seed=37)
+    _fail_at(monkeypatch, {4}, ZeroDivisionError)
+    with pytest.raises(ZeroDivisionError, match="replication 4"):
+        run_scenario(config, n_jobs=2)
 
 
 def test_run_scenario_rejects_n_jobs_below_one():
@@ -147,6 +207,35 @@ def test_density_integrates_to_one():
     integral = np.trapezoid(summary.observed_density, summary.grid)
     assert abs(integral - 1.0) < 1e-3
     assert np.all(summary.observed_density >= 0)
+
+
+def _kde_reference(values, grid, bandwidth):
+    """The blockwise kernel sum with a fresh temporary for every step."""
+    density = np.zeros_like(grid)
+    norm_const = 1.0 / (len(values) * bandwidth * np.sqrt(2.0 * np.pi))
+    for start in range(0, len(values), 8192):
+        block = values[start : start + 8192]
+        z = (grid[:, None] - block[None, :]) / bandwidth
+        density += np.exp(-0.5 * z * z).sum(axis=1)
+    return density * norm_const
+
+
+@pytest.mark.parametrize("n", [1000, 8193, 100_000])
+def test_kde_matches_reference_bytes(n):
+    # 8193 and 100 000 leave a last block shorter than 8192 values
+    values = RngStream(87, n).generator.normal(1.0, 3.0, n)
+    h = silverman_bandwidth(values)
+    grid = np.linspace(values.min() - 4.0 * h, values.max() + 4.0 * h, 512)
+    expected = _kde_reference(values, grid, h)
+    tracemalloc.start()
+    try:
+        density = _kde_on_grid(values, grid, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert density.tobytes() == expected.tobytes()
+    # one 512 x 8192 float64 buffer is 33.5 MB
+    assert peak < 40e6
 
 
 def test_density_degenerate_sample():
