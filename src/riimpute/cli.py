@@ -5,8 +5,9 @@ runs a Monte Carlo scenario and writes the results table, ``density`` writes
 kernel density curves for plotting elsewhere.
 
 Exit codes: 0 on success, 2 for unusable input (parse failures, missing
-columns, too few rows), 3 for statistical failure (rank deficiency,
-non-convergence, degenerate samples). Output files are byte-identical across
+columns, too few rows), 3 for statistical failure (any other library error:
+rank deficiency, non-convergence, degenerate samples, too many failed
+replications). Output files are byte-identical across
 runs with the same command line and seed; each carries comment lines citing
 the command, seed, package version and an input content digest.
 """
@@ -28,12 +29,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    DegenerateRdot,
-    DegenerateSample,
     DimensionMismatch,
     InvalidParameter,
-    NonConvergence,
-    RankDeficient,
     RiImputeError,
     TooFewRows,
 )
@@ -52,7 +49,6 @@ SEED_ENV_VAR = "RIIMPUTE_SEED"
 DEFAULT_SEED = 54321
 
 _INPUT_ERRORS = (InvalidParameter, DimensionMismatch, TooFewRows)
-_STATISTICAL_ERRORS = (NonConvergence, RankDeficient, DegenerateRdot, DegenerateSample)
 
 
 class CliInputError(RiImputeError):
@@ -449,12 +445,13 @@ def main(argv: list[str] | None = None) -> int:
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _STATISTICAL_ERRORS as exc:
-        print(f"statistical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
     except _INPUT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except RiImputeError as exc:
+        # every other library error is a statistical failure
+        print(f"statistical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry_point() -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DimensionMismatch,
@@ -111,33 +110,31 @@ def ols_fit(design, response, *, strict: bool = False) -> LinearFit:
     )
 
 
-def _loglik(eta: np.ndarray, y: np.ndarray) -> float:
-    # log expit(eta) for y=1 plus log expit(-eta) for y=0, computed stably
-    signed = np.where(y == 1, eta, -eta)
-    return float(-np.logaddexp(0.0, -signed).sum())
+def _mu_loglik(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
+    """Fitted probabilities and log likelihood at ``beta``.
 
-
-def logistic_fit(design, indicator) -> LogisticFit:
-    """Logistic regression by iteratively reweighted least squares.
-
-    Newton steps with step halving, so the log likelihood never decreases.
-    Raises Separation once any coefficient passes ``IRLS_COEF_CAP`` in
-    magnitude and NonConvergence after ``IRLS_MAX_ITER`` iterations.
+    One ``e = exp(-|eta|)`` of the linear predictor ``eta`` gives both: ``mu``
+    is ``1 / (1 + e)`` where eta is non-negative and ``e / (1 + e)``
+    elsewhere, and the log likelihood is
+    ``y.eta - sum(max(eta, 0)) - sum(log1p(e))``. Neither overflows.
     """
-    x, y = _as_design(design, indicator, "indicator")
-    if not (np.all((y == 0) | (y == 1)) and y.min() == 0 and y.max() == 1):
-        raise InvalidParameter("indicator must contain both 0s and 1s and nothing else")
-    p = x.shape[1]
-
-    beta = np.zeros(p)
     eta = x @ beta
-    ll = _loglik(eta, y)
+    e = np.exp(-np.abs(eta))
+    mu = np.where(eta >= 0, 1.0, e) / (1.0 + e)
+    ll = float(y @ eta - np.maximum(eta, 0.0).sum() - np.log1p(e).sum())
+    return mu, ll
 
+
+def _irls(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
+    """Newton iterations from ``beta``: ``(beta, mu, iterations, error)``.
+
+    ``error`` is the Separation or NonConvergence that stopped the iterations,
+    or None when they converged.
+    """
+    mu, ll = _mu_loglik(x, y, beta)
+    grad = x.T @ (y - mu)
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        mu = expit(eta)
-        weights = mu * (1.0 - mu)
-        grad = x.T @ (y - mu)
-        hessian = x.T @ (weights[:, None] * x)
+        hessian = x.T @ ((mu * (1.0 - mu))[:, None] * x)
         try:
             step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError:
@@ -149,26 +146,66 @@ def logistic_fit(design, indicator) -> LogisticFit:
         slack = 1e-12 * (1.0 + abs(ll))
         for _ in range(30):
             candidate = beta + factor * step
-            new_eta = x @ candidate
-            new_ll = _loglik(new_eta, y)
+            new_mu, new_ll = _mu_loglik(x, y, candidate)
             if new_ll >= ll - slack:
                 break
             factor *= 0.5
         delta = float(np.abs(candidate - beta).max())
-        beta, eta, ll = candidate, new_eta, new_ll
+        beta, mu, ll = candidate, new_mu, new_ll
 
         if np.abs(beta).max() > IRLS_COEF_CAP:
-            raise Separation(
+            return beta, mu, iterations, Separation(
                 f"coefficient magnitude exceeded {IRLS_COEF_CAP:g} after {iterations} iterations"
             )
-        grad_now = x.T @ (y - expit(eta))
-        if delta < IRLS_TOL and np.abs(grad_now).max() <= 1e-6:
-            break
-    else:
-        raise NonConvergence(f"IRLS did not converge within {IRLS_MAX_ITER} iterations")
+        grad = x.T @ (y - mu)
+        if delta < IRLS_TOL and np.abs(grad).max() <= 1e-6:
+            return beta, mu, iterations, None
+    return beta, mu, IRLS_MAX_ITER, NonConvergence(
+        f"IRLS did not converge within {IRLS_MAX_ITER} iterations"
+    )
 
-    mu = expit(eta)
+
+def logistic_fit(design, indicator, start=None) -> LogisticFit:
+    """Logistic regression by iteratively reweighted least squares.
+
+    Newton steps with step halving, so the log likelihood never decreases.
+    Raises Separation once any coefficient passes ``IRLS_COEF_CAP`` in
+    magnitude, NonConvergence after ``IRLS_MAX_ITER`` iterations, and
+    RankDeficient when the information matrix at the estimate is singular.
+
+    ``start`` (one value per design column, default zeros) is where the
+    iterations begin; a caller refitting the same model on slightly changed
+    data passes its previous estimate to save iterations. A fit from a
+    nonzero start that separates or does not converge is refitted once from
+    zero, so a start changes the cost of a fit but not whether it succeeds.
+    ``iterations`` counts the iterations of both attempts.
+    """
+    x, y = _as_design(design, indicator, "indicator")
+    if not (np.all((y == 0) | (y == 1)) and y.min() == 0 and y.max() == 1):
+        raise InvalidParameter("indicator must contain both 0s and 1s and nothing else")
+    p = x.shape[1]
+    start = np.zeros(p) if start is None else np.asarray(start, dtype=float)
+    if start.shape != (p,):
+        raise DimensionMismatch(f"start has shape {start.shape}, expected ({p},)")
+    if not np.all(np.isfinite(start)):
+        raise InvalidParameter("start must be finite")
+
+    beta, mu, iterations, error = _irls(x, y, start)
+    if error is not None and start.any():
+        beta, mu, cold_iterations, error = _irls(x, y, np.zeros(p))
+        iterations += cold_iterations
+    if error is not None:
+        raise error
+
     info = x.T @ ((mu * (1.0 - mu))[:, None] * x)
+    # rank test on the information scaled to unit diagonal, so column units do not matter
+    scale = np.sqrt(np.diag(info))
+    smallest = np.linalg.eigvalsh(info / np.outer(scale, scale))[0] if scale.min() > 0 else 0.0
+    if not smallest >= _RANK_RTOL:
+        raise RankDeficient(
+            f"information matrix is singular: smallest eigenvalue {smallest:.3e} of its "
+            f"unit-diagonal form is below {_RANK_RTOL:g}"
+        )
     covariance = np.linalg.inv(info)
     covariance = 0.5 * (covariance + covariance.T)
     return LogisticFit(coefficients=beta, covariance=covariance, iterations=iterations)

@@ -196,12 +196,13 @@ def impute_given_rdot(data: IncompleteDataset, rdot, rng: RngStream) -> np.ndarr
 
 
 def draw_psi_posterior(
-    completed_target, covariates, r, rng: RngStream
+    completed_target, covariates, r, rng: RngStream, start: NonresponseParams | None = None
 ) -> NonresponseParams:
     """Fit the selection model of ``r`` on the completed data and draw its coefficients.
 
     The draw is normal around the maximum likelihood estimate with the inverse
-    Fisher information as covariance.
+    Fisher information as covariance. ``start``, typically the previous sweep's
+    draw, is where the fit's iterations begin (see ``logistic_fit``).
     """
     completed_target = np.asarray(completed_target, dtype=float)
     covariates = np.asarray(covariates, dtype=float)
@@ -210,7 +211,9 @@ def draw_psi_posterior(
     design = np.column_stack(
         [np.ones(completed_target.shape[0]), completed_target, covariates]
     )
-    fit = logistic_fit(design, r)
+    if start is not None:
+        start = np.r_[start.psi0, start.psi1, start.psi_z]
+    fit = logistic_fit(design, r, start=start)
     draw = sample_mvnormal(fit.coefficients, fit.covariance, rng)
     return NonresponseParams(psi0=draw[0], psi1=draw[1], psi_z=draw[2:])
 
@@ -256,7 +259,8 @@ def ri_impute(
     constant among observed rows it is redrawn up to ``MAX_RDOT_REDRAWS``
     times, after which the sweep falls back to an unshifted imputation and
     logs a warning. A sweep whose selection-model fit separates takes the
-    same fallback and warning.
+    same fallback and warning. Within a chain, each selection-model fit
+    starts from the chain's latest coefficient draw; the first starts at zero.
     """
     if data.n_missing == 0:
         logger.warning(
@@ -275,9 +279,10 @@ def ri_impute(
         rng = RngStream(config.seed, mix_stream_id("ri-chain", chain))
         completed = data.target.copy()
         completed[~obs] = rng.generator.choice(observed_values, size=data.n_missing, replace=True)
+        psi_dot = None
         for _ in range(config.iterations):
             try:
-                psi_dot = draw_psi_posterior(completed, z_nr, obs, rng)
+                psi_dot = draw_psi_posterior(completed, z_nr, obs, rng, start=psi_dot)
             except Separation:
                 logger.warning("selection model separated; sweep uses zero shift")
                 completed = _impute_draw(data, _mar_fit(data), rng)

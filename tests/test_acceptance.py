@@ -28,6 +28,9 @@ from riimpute import (
 from selection_oracle import cell_means, sample_selection_population
 from test_fitters import coordinate_search_mle
 
+# the session grid fixtures dominate the suite's run time; `pytest -m "not slow"` skips them
+pytestmark = pytest.mark.slow
+
 ACCEPTANCE_SEED = 7
 
 MECHANISMS = ("mcar", "mar", "mnar1", "mnar2", "mnar3")

@@ -212,6 +212,38 @@ def test_impute_statistical_failure_exits_3(tmp_path):
     assert code == 3
 
 
+def test_impute_collinear_selection_covariates_exits_3(tmp_path, capsys):
+    # b = 2a makes the selection model's information matrix singular
+    csv_path = tmp_path / "col.csv"
+    gen = RngStream(3, 0).generator
+    a = gen.normal(0, 1, 60)
+    x = 1.0 + a + gen.standard_normal(60)
+    x[::4] = np.nan
+    write_csv(csv_path, ["x", "a", "b"], {"x": x, "a": a, "b": 2.0 * a})
+    code = main([
+        "impute", str(csv_path), "--target", "x", "--covariates", "a,b",
+        "--method", "ri", "--seed", "1", "--output-prefix", str(tmp_path / "c"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "statistical failure: RankDeficient" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_all_replications_failed_exits_3(tmp_path, capsys):
+    # psi0 = -6 leaves almost no row missing, so every replication fails
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(
+        "mechanism = custom\npsi = -6, 0, 0\nn = 50\nreplications = 5\n", encoding="utf-8"
+    )
+    out = tmp_path / "table.csv"
+    assert main(["simulate", "--scenario-file", str(scenario), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "statistical failure: RiImputeError: 5 of 5 replications failed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_impute_separated_selection_fit_exits_0_with_warning(tmp_path, caplog):
     # 3 of 20 rows missing: the selection fit separates in most sweeps, which
     # take the zero-shift fallback instead of failing the command

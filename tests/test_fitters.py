@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from riimpute.fitters import IRLS_COEF_CAP, _irls, _mu_loglik
+
 from riimpute import (
     DimensionMismatch,
     InvalidParameter,
@@ -193,3 +195,79 @@ def test_logistic_separation_raises():
 def test_logistic_requires_both_classes():
     with pytest.raises(InvalidParameter):
         logistic_fit(np.ones((5, 1)), [1, 1, 1, 1, 1])
+
+
+def test_logistic_fused_loglik_matches_oracle_without_overflow():
+    eta = np.r_[np.linspace(-700.0, 700.0, 201), -36.5, 0.0, 1e-300, 36.5]
+    x = eta[:, None]
+    y = (np.arange(eta.size) % 3 == 0).astype(float)
+    with np.errstate(all="raise"):
+        mu, ll = _mu_loglik(x, y, np.ones(1))
+    assert ll == pytest.approx(logistic_loglik(np.ones(1), x, y), rel=1e-14)
+    assert np.allclose(mu, expit(eta), rtol=1e-14, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# logistic_fit from a start
+
+
+@pytest.fixture(scope="module")
+def well_posed():
+    gen = RngStream(321, 0).generator
+    x = np.column_stack([np.ones(500), gen.normal(0, 1, 500), gen.normal(1, 2, 500)])
+    y = (gen.random(500) < expit(x @ np.array([-0.5, 1.0, 0.3]))).astype(int)
+    return x, y, logistic_fit(x, y)
+
+
+@pytest.mark.parametrize("name", ["zero", "mle", "mle_plus_noise", "far"])
+def test_logistic_start_reaches_the_cold_fit(well_posed, name):
+    x, y, cold = well_posed
+    mle = cold.coefficients
+    start = {
+        "zero": np.zeros(3),
+        "mle": mle,
+        "mle_plus_noise": mle + RngStream(322, 0).generator.normal(0, 0.3, 3),
+        "far": np.array([-14.0, 14.0, -14.0]),
+    }[name]
+    assert np.abs(start).max() <= IRLS_COEF_CAP
+    fit = logistic_fit(x, y, start=start)
+    assert np.abs(fit.coefficients - mle).max() <= 1e-10
+    assert np.abs(fit.covariance - cold.covariance).max() <= 1e-12
+
+
+def test_logistic_start_at_mle_converges_at_once(well_posed):
+    x, y, cold = well_posed
+    assert cold.iterations > 2
+    assert logistic_fit(x, y, start=cold.coefficients).iterations <= 2
+
+
+def test_logistic_start_past_cap_retries_cold(well_posed):
+    x, y, cold = well_posed
+    start = np.array([10.0, -10.0, 0.0])
+    # the first step from this start overshoots the cap on data that do not separate
+    *_, warm_iterations, error = _irls(x, y, start)
+    assert isinstance(error, Separation)
+    fit = logistic_fit(x, y, start=start)
+    assert np.array_equal(fit.coefficients, cold.coefficients)
+    assert np.array_equal(fit.covariance, cold.covariance)
+    assert fit.iterations == warm_iterations + cold.iterations
+
+
+def test_logistic_start_validated(well_posed):
+    x, y, _ = well_posed
+    with pytest.raises(DimensionMismatch):
+        logistic_fit(x, y, start=np.zeros(2))
+    with pytest.raises(InvalidParameter):
+        logistic_fit(x, y, start=[np.nan, 0.0, 0.0])
+
+
+# seed 0: the information matrix is exactly singular in floating point;
+# seed 5: it is not, and a plain inverse would return entries near 1e15
+@pytest.mark.parametrize("seed", [0, 5])
+def test_logistic_singular_information_raises_rank_deficient(seed):
+    gen = RngStream(seed, 0).generator
+    a = gen.normal(0, 1, 60)
+    x = np.column_stack([np.ones(60), a, 2.0 * a])
+    y = (gen.random(60) < expit(a)).astype(int)
+    with pytest.raises(RankDeficient):
+        logistic_fit(x, y)

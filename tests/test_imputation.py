@@ -26,6 +26,7 @@ from riimpute import (
     sample_mvnormal,
 )
 
+import riimpute.imputation as imputation
 from selection_oracle import cell_means, sample_selection_population
 
 
@@ -342,6 +343,47 @@ def test_ri_separated_selection_fit_falls_back_to_zero_shift(caplog):
         assert np.array_equal(completed[data.observed_mask], target[data.observed_mask])
     assert any("separated" in record.message and "zero shift" in record.message
                for record in caplog.records)
+
+
+def _near_separated_dataset():
+    # 15 rows whose response depends strongly on the target: several sweeps
+    # take the zero-shift fallback, and some selection fits started from the
+    # previous draw separate and are refitted from zero
+    gen = np.random.default_rng([3, 15])
+    z = np.column_stack([gen.normal(2.0, 2.0, 15), gen.normal(-1.0, 1.0, 15)])
+    x = 1.0 + 0.5 * z[:, 0] + z[:, 1] + gen.standard_normal(15)
+    observed = gen.random(15) < 1.0 / (1.0 + np.exp(1.0 - 0.75 * x + 0.5 * z[:, 0]))
+    observed[:3] = True
+    observed[-1] = False
+    return IncompleteDataset(np.where(observed, x, np.nan), z)
+
+
+@pytest.mark.parametrize("case", ["regular", "near_separated"])
+def test_ri_warm_started_fits_give_the_cold_start_draws(monkeypatch, caplog, case):
+    if case == "regular":
+        data = _mnar_dataset(51, n=200)[0]
+        config = RiConfig(iterations=6, num_imputations=3, seed=5)
+    else:
+        data = _near_separated_dataset()
+        config = RiConfig(iterations=10, num_imputations=5, seed=15)
+
+    def run():
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="riimpute.imputation"):
+            completions = ri_impute(data, config, nonresponse_columns=(0,))
+        return completions, [record.getMessage() for record in caplog.records]
+
+    warm, warm_messages = run()
+    fit = imputation.logistic_fit
+    monkeypatch.setattr(imputation, "logistic_fit",
+                        lambda design, indicator, start=None: fit(design, indicator))
+    cold, cold_messages = run()
+
+    assert len(warm) == len(cold)
+    assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
+    assert warm_messages == cold_messages
+    if case == "near_separated":
+        assert any("zero shift" in message for message in warm_messages)
 
 
 def test_ri_deterministic_given_seed():
