@@ -4,10 +4,11 @@ Three subcommands: ``impute`` completes a CSV with a chosen method, ``simulate``
 runs a Monte Carlo scenario and writes the results table, ``density`` writes
 kernel density curves for plotting elsewhere.
 
-Exit codes: 0 on success, 2 for unusable input (parse failures, missing
-columns, too few rows), 3 for statistical failure (any other library error:
-rank deficiency, non-convergence, degenerate samples, too many failed
-replications). Output files are byte-identical across
+Exit codes: 0 on success, 2 for unusable input (parse failures, missing or
+repeated columns, too few rows), 3 for statistical failure (any other library
+error: rank deficiency, non-convergence, degenerate samples, too many failed
+replications). ``impute`` computes every estimate before it writes its first
+file, so a failure leaves no output. Output files are byte-identical across
 runs with the same command line and seed; each carries comment lines citing
 the command, seed, package version and an input content digest.
 """
@@ -195,13 +196,21 @@ def _require_columns(header: list[str], wanted: list[str], path: Path) -> None:
 # impute
 
 
+def _name_list(text: str, option: str) -> list[str]:
+    """Column names of a comma separated option; a name given twice is unusable input."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise CliInputError(f"{option} names {', '.join(repeated)} more than once")
+    return names
+
+
 def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
     path = Path(args.input_csv)
     seed = _resolve_seed(args.seed)
     record = _make_record(argv, seed, [path])
     header, data = read_csv_columns(path)
-    covariate_names = args.covariates.split(",") if args.covariates else []
-    covariate_names = [name.strip() for name in covariate_names if name.strip()]
+    covariate_names = _name_list(args.covariates, "--covariates")
     _require_columns(header, [args.target, *covariate_names], path)
 
     target = data[args.target]
@@ -214,56 +223,53 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
     # with no covariates the imputation model is intercept-only
     dataset = IncompleteDataset(target, covariates, target_name=args.target,
                                 covariate_names=tuple(covariate_names))
-    names = ["intercept", *covariate_names]
 
+    # every estimate is computed before the first file is written, so a
+    # failed fit leaves no output behind
+    pooled = None
     if args.method == "cc":
         keep_covariates, keep_target = complete_case(dataset)
-        keep = dataset.observed_mask
-        out_cols = {name: data[name][keep] for name in header}
-        out_path = Path(f"{args.output_prefix}_cc.csv")
-        write_csv_columns(out_path, header, out_cols, record)
-        print(f"wrote {out_path}", file=sys.stderr)
         if covariate_names:
-            estimate = single_fit_estimate(fit_analysis(keep_covariates, keep_target))
-            _write_pooled(args, names, estimate, record)
-        return 0
-
-    if dataset.n_missing == 0:
-        print("warning: target column has no missing cells; copies will be identical",
-              file=sys.stderr)
-
-    nonresponse_columns = None
-    if args.nonresponse_covariates:
-        wanted = [name.strip() for name in args.nonresponse_covariates.split(",") if name.strip()]
-        bad = [name for name in wanted if name not in covariate_names]
-        if bad:
-            raise CliInputError(
-                f"--nonresponse-covariates must be a subset of --covariates; unknown: {bad}"
-            )
-        nonresponse_columns = tuple(covariate_names.index(name) for name in wanted)
-
-    rng = RngStream(seed, mix_stream_id("cli-impute"))
-    if args.method == "mar":
-        completions = mar_impute(dataset, args.m, rng)
+            pooled = single_fit_estimate(fit_analysis(keep_covariates, keep_target))
+        keep = dataset.observed_mask
+        outputs = {"cc": {name: data[name][keep] for name in header}}
     else:
-        config = RiConfig(iterations=args.iterations, num_imputations=args.m,
-                          seed=mix_stream_id(seed, "cli-ri"))
-        completions = ri_impute(dataset, config, nonresponse_columns=nonresponse_columns)
+        if dataset.n_missing == 0:
+            print("warning: target column has no missing cells; copies will be identical",
+                  file=sys.stderr)
+        nonresponse_columns = None
+        if args.nonresponse_covariates:
+            wanted = _name_list(args.nonresponse_covariates, "--nonresponse-covariates")
+            bad = [name for name in wanted if name not in covariate_names]
+            if bad:
+                raise CliInputError(
+                    f"--nonresponse-covariates must be a subset of --covariates; unknown: {bad}"
+                )
+            nonresponse_columns = tuple(covariate_names.index(name) for name in wanted)
 
-    for k, completed in enumerate(completions, start=1):
-        out_cols = dict(data)
-        out_cols[args.target] = completed
-        out_path = Path(f"{args.output_prefix}_imp{k}.csv")
+        rng = RngStream(seed, mix_stream_id("cli-impute"))
+        if args.method == "mar":
+            completions = mar_impute(dataset, args.m, rng)
+        else:
+            config = RiConfig(iterations=args.iterations, num_imputations=args.m,
+                              seed=mix_stream_id(seed, "cli-ri"))
+            completions = ri_impute(dataset, config, nonresponse_columns=nonresponse_columns)
+        if covariate_names and len(completions) >= 2:
+            fits = [fit_analysis(covariates, completed) for completed in completions]
+            pooled = rubin_pool(fits, len(fits))
+        outputs = {f"imp{k}": {**data, args.target: completed}
+                   for k, completed in enumerate(completions, start=1)}
+
+    for suffix, out_cols in outputs.items():
+        out_path = Path(f"{args.output_prefix}_{suffix}.csv")
         write_csv_columns(out_path, header, out_cols, record)
         print(f"wrote {out_path}", file=sys.stderr)
-
-    if covariate_names and len(completions) < 2:
+    if pooled is not None:
+        _write_pooled(args, ["intercept", *covariate_names], pooled, record)
+    elif covariate_names:
         # one completed dataset has no between-imputation variance to pool
         print("note: -m 1 writes no pooled JSON; pooling needs at least 2 imputations",
               file=sys.stderr)
-    elif covariate_names:
-        fits = [fit_analysis(covariates, completed) for completed in completions]
-        _write_pooled(args, names, rubin_pool(fits, len(fits)), record)
     return 0
 
 
@@ -343,12 +349,12 @@ def _cmd_density(args: argparse.Namespace, argv: list[str]) -> int:
     paths = [Path(p) for p in args.input_csv]
     record = _make_record(argv, _resolve_seed(args.seed), paths)
 
-    restrict_mask = None
+    row_mask = None
     if args.only_missing_from:
         ref_path = Path(args.only_missing_from)
         ref_header, ref_data = read_csv_columns(ref_path)
         _require_columns(ref_header, [args.column], ref_path)
-        restrict_mask = np.isnan(ref_data[args.column])
+        row_mask = np.isnan(ref_data[args.column])
 
     labels = args.labels.split(",") if args.labels else [p.stem for p in paths]
     if len(labels) != len(paths):
@@ -359,10 +365,10 @@ def _cmd_density(args: argparse.Namespace, argv: list[str]) -> int:
         header, data = read_csv_columns(path)
         _require_columns(header, [args.column], path)
         values = data[args.column]
-        if restrict_mask is not None:
-            if len(restrict_mask) != len(values):
+        if row_mask is not None:
+            if len(row_mask) != len(values):
                 raise CliInputError("--only-missing-from file must have the same row count")
-            values = values[restrict_mask]
+            values = values[row_mask]
         values = values[~np.isnan(values)]
         curves.append(density_summary(values, group_label=label))
 

@@ -14,7 +14,7 @@ class InvalidParameter(RiImputeError):
 
 
 class RankDeficient(RiImputeError):
-    """Design matrix is numerically rank deficient and strict fitting was requested."""
+    """A fit's Gram or information matrix is numerically singular."""
 
 
 class Separation(RiImputeError):

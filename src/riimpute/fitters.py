@@ -30,9 +30,8 @@ _RANK_RTOL = 1e-10
 class LinearFit:
     """Ordinary least squares result.
 
-    ``gram_inverse`` is the inverse of design' design (after the ridge bump
-    when ``ridge_adjusted`` is set), so coefficient covariance is
-    ``residual_variance * gram_inverse``.
+    ``gram_inverse`` is the inverse of design' design, so coefficient
+    covariance is ``residual_variance * gram_inverse``.
     """
 
     coefficients: np.ndarray
@@ -40,7 +39,6 @@ class LinearFit:
     gram_inverse: np.ndarray
     n_rows: int
     n_params: int
-    ridge_adjusted: bool = False
 
 
 @dataclass(frozen=True)
@@ -69,33 +67,36 @@ def _as_design(design, response, response_name: str):
     return design, response
 
 
-def ols_fit(design, response, *, strict: bool = False) -> LinearFit:
+def _checked_inverse(matrix: np.ndarray, name: str) -> np.ndarray:
+    """Symmetrized inverse of the symmetric positive semi-definite ``matrix``.
+
+    Raises RankDeficient, naming ``name``, when the smallest eigenvalue of
+    ``matrix`` scaled to unit diagonal is below ``_RANK_RTOL``. The scaling
+    makes the test independent of the units of each design column.
+    """
+    scale = np.sqrt(np.diag(matrix))
+    smallest = np.linalg.eigvalsh(matrix / np.outer(scale, scale))[0] if scale.min() > 0 else 0.0
+    if not smallest >= _RANK_RTOL:
+        raise RankDeficient(
+            f"{name} is singular: smallest eigenvalue {smallest:.3e} of its "
+            f"unit-diagonal form is below {_RANK_RTOL:g}"
+        )
+    inverse = np.linalg.inv(matrix)
+    return 0.5 * (inverse + inverse.T)
+
+
+def ols_fit(design, response) -> LinearFit:
     """Least squares fit of `response` on the columns of `design`.
 
-    Near-singular designs get a small ridge bump on the Gram diagonal and the
-    returned fit is flagged ``ridge_adjusted``; with ``strict=True`` they raise
-    RankDeficient instead.
+    Raises RankDeficient when the Gram matrix design' design is numerically
+    singular (see ``_checked_inverse``).
     """
     x, y = _as_design(design, response, "response")
     n, p = x.shape
     if n < p:
         raise DimensionMismatch(f"need at least {p} rows for {p} parameters, got {n}")
 
-    gram = x.T @ x
-    singular_values = np.linalg.svd(x, compute_uv=False)
-    deficient = singular_values[-1] < _RANK_RTOL * singular_values[0]
-    ridge_adjusted = False
-    if deficient:
-        if strict:
-            raise RankDeficient(
-                f"smallest singular value {singular_values[-1]:.3e} below "
-                f"{_RANK_RTOL:g} x largest {singular_values[0]:.3e}"
-            )
-        gram = gram + (1e-8 * np.trace(gram) / p) * np.eye(p)
-        ridge_adjusted = True
-
-    gram_inverse = np.linalg.inv(gram)
-    gram_inverse = 0.5 * (gram_inverse + gram_inverse.T)
+    gram_inverse = _checked_inverse(x.T @ x, "Gram matrix")
     coefficients = gram_inverse @ (x.T @ y)
     residuals = y - x @ coefficients
     rss = float(residuals @ residuals)
@@ -106,7 +107,6 @@ def ols_fit(design, response, *, strict: bool = False) -> LinearFit:
         gram_inverse=gram_inverse,
         n_rows=n,
         n_params=p,
-        ridge_adjusted=ridge_adjusted,
     )
 
 
@@ -198,14 +198,5 @@ def logistic_fit(design, indicator, start=None) -> LogisticFit:
         raise error
 
     info = x.T @ ((mu * (1.0 - mu))[:, None] * x)
-    # rank test on the information scaled to unit diagonal, so column units do not matter
-    scale = np.sqrt(np.diag(info))
-    smallest = np.linalg.eigvalsh(info / np.outer(scale, scale))[0] if scale.min() > 0 else 0.0
-    if not smallest >= _RANK_RTOL:
-        raise RankDeficient(
-            f"information matrix is singular: smallest eigenvalue {smallest:.3e} of its "
-            f"unit-diagonal form is below {_RANK_RTOL:g}"
-        )
-    covariance = np.linalg.inv(info)
-    covariance = 0.5 * (covariance + covariance.T)
+    covariance = _checked_inverse(info, "information matrix")
     return LogisticFit(coefficients=beta, covariance=covariance, iterations=iterations)

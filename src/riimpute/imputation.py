@@ -254,7 +254,7 @@ def ri_impute(
     posterior given the completed target, draw a pseudo response indicator,
     and reimpute the missing rows with the estimated shift.
 
-    ``nonresponse_columns`` restricts which covariate columns enter the
+    ``nonresponse_columns`` chooses which covariate columns enter the
     selection model (default: all of them). If the drawn pseudo indicator is
     constant among observed rows it is redrawn up to ``MAX_RDOT_REDRAWS``
     times, after which the sweep falls back to an unshifted imputation and
@@ -305,7 +305,7 @@ def ri_impute(
 
 
 def complete_case(data: IncompleteDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Covariates and target restricted to rows with an observed target."""
+    """Covariates and target of the rows with an observed target."""
     data.require_fittable(data.n_covariates + 1)
     obs = data.observed_mask
     return data.covariates[obs].copy(), data.target[obs].copy()

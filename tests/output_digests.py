@@ -9,7 +9,9 @@ the draws and the output files bit for bit as they were:
 It covers ``ri_impute`` (n = 9 to 20 000, printing how many sweeps took the
 zero-shift fallback because the pseudo indicator was degenerate or the
 selection-model fit separated; the n = 20 near-separated dataset takes it
-twice), ``mar_impute``, ``run_scenario`` + ``format_result_table`` for all ten
+twice), ``mar_impute`` (also on one dataset with its covariates in units of
+1e-6 and 1e5, and with a collinear pair, which prints ``raised
+RankDeficient``), ``run_scenario`` + ``format_result_table`` for all ten
 builtin scenarios (serially and in two worker processes, which must print the
 same digest), and the files written by the CLI commands ``impute`` (ri, mar
 and cc at m = 5), ``simulate`` and ``density``. The CLI input carries an incomplete column ``x4``
@@ -125,6 +127,18 @@ def library_digests() -> list[str]:
     finally:
         logger.removeHandler(counter)
         logger.propagate = True
+
+    # the same data with its covariates in other units, and with a collinear pair
+    base = mnar_data(3, 200)
+    z = base.covariates
+    for label, covariates in (("n=200 badly-scaled", z * [1e-6, 1e5]),
+                              ("n=200 collinear", np.column_stack([z[:, 0], 2.0 * z[:, 0]]))):
+        data = IncompleteDataset(base.target, covariates)
+        try:
+            digest = _sha(*mar_impute(data, 5, RngStream(data.n, 1)))
+        except RiImputeError as exc:
+            digest = f"raised {type(exc).__name__}"
+        lines.append(f"mar_impute {label} {digest}")
 
     for n_jobs in (1, 2):
         results = []

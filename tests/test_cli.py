@@ -212,22 +212,48 @@ def test_impute_statistical_failure_exits_3(tmp_path):
     assert code == 3
 
 
-def test_impute_collinear_selection_covariates_exits_3(tmp_path, capsys):
-    # b = 2a makes the selection model's information matrix singular
-    csv_path = tmp_path / "col.csv"
+def collinear_csv(path):
     gen = RngStream(3, 0).generator
     a = gen.normal(0, 1, 60)
     x = 1.0 + a + gen.standard_normal(60)
     x[::4] = np.nan
-    write_csv(csv_path, ["x", "a", "b"], {"x": x, "a": a, "b": 2.0 * a})
+    write_csv(path, ["x", "a", "b"], {"x": x, "a": a, "b": 2.0 * a})
+
+
+@pytest.mark.parametrize("method", ["ri", "mar", "cc"])
+def test_impute_collinear_selection_covariates_exits_3(tmp_path, capsys, method):
+    # b = 2a makes every fit on [1, a, b] singular; the command fails before
+    # it writes any file
+    csv_path = tmp_path / "col.csv"
+    collinear_csv(csv_path)
     code = main([
         "impute", str(csv_path), "--target", "x", "--covariates", "a,b",
-        "--method", "ri", "--seed", "1", "--output-prefix", str(tmp_path / "c"),
+        "--method", method, "--seed", "1", "--output-prefix", str(tmp_path / "c"),
     ])
     assert code == 3
     err = capsys.readouterr().err
     assert "statistical failure: RankDeficient" in err
     assert "Traceback" not in err
+    assert list(tmp_path.glob("c_*")) == []
+
+
+@pytest.mark.parametrize("method", ["ri", "mar"])
+@pytest.mark.parametrize("options", [
+    ["--covariates", "a,a"],
+    ["--covariates", "a, b,a"],
+    ["--covariates", "a", "--nonresponse-covariates", "a,a"],
+], ids=["covariates", "covariates-apart", "nonresponse-covariates"])
+def test_impute_repeated_covariate_name_exits_2(tmp_path, capsys, method, options):
+    csv_path = tmp_path / "col.csv"
+    collinear_csv(csv_path)
+    code = main([
+        "impute", str(csv_path), "--target", "x", *options,
+        "--method", method, "--seed", "1", "--output-prefix", str(tmp_path / "c"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {options[-2]} names a more than once" in err
+    assert list(tmp_path.glob("c_*")) == []
 
 
 def test_simulate_all_replications_failed_exits_3(tmp_path, capsys):

@@ -6,12 +6,15 @@ from riimpute.fitters import IRLS_COEF_CAP, _irls, _mu_loglik
 
 from riimpute import (
     DimensionMismatch,
+    IncompleteDataset,
     InvalidParameter,
     NonConvergence,
     RankDeficient,
     RngStream,
     Separation,
+    fit_analysis,
     logistic_fit,
+    mar_impute,
     ols_fit,
 )
 
@@ -108,15 +111,39 @@ def test_ols_gram_inverse_symmetric():
 
 def test_ols_rank_deficiency_strict_raises():
     design = np.column_stack([np.ones(10), np.arange(10.0), 2.0 * np.arange(10.0)])
-    with pytest.raises(RankDeficient):
-        ols_fit(design, np.arange(10.0), strict=True)
+    with pytest.raises(RankDeficient, match="Gram matrix is singular"):
+        ols_fit(design, np.arange(10.0))
 
 
-def test_ols_rank_deficiency_default_ridge_fallback():
-    design = np.column_stack([np.ones(10), np.arange(10.0), 2.0 * np.arange(10.0)])
-    fit = ols_fit(design, np.arange(10.0))
-    assert fit.ridge_adjusted
-    assert np.all(np.isfinite(fit.coefficients))
+def test_ols_rank_test_ignores_column_units():
+    # [1, a * 1e-6, b * 1e5] is well conditioned once each column has unit
+    # length; only the units of a and b differ from the unit-scaled fit
+    gen = RngStream(318, 0).generator
+    covariates = gen.normal(0, 1, (200, 2))
+    target = 1.0 + covariates @ [1.1, -0.7] + gen.normal(0, 1, 200)
+    units = np.array([1e-6, 1e5])
+    unit_fit = ols_fit(np.column_stack([np.ones(200), covariates]), target)
+    scaled_fit = ols_fit(np.column_stack([np.ones(200), covariates * units]), target)
+    to_unit = np.r_[1.0, units]
+    np.testing.assert_allclose(scaled_fit.coefficients * to_unit, unit_fit.coefficients,
+                               rtol=1e-10, atol=0)
+
+    unit_analysis = fit_analysis(covariates, target)
+    scaled_analysis = fit_analysis(covariates * units, target)
+    np.testing.assert_allclose(scaled_analysis.beta_hat * to_unit, unit_analysis.beta_hat,
+                               rtol=1e-10, atol=0)
+    np.testing.assert_allclose(scaled_analysis.variances * to_unit**2,
+                               unit_analysis.variances, rtol=1e-10, atol=0)
+
+
+def test_mar_impute_collinear_covariates_raise_rank_deficient():
+    gen = RngStream(319, 0).generator
+    a = gen.normal(0, 1, 60)
+    target = 1.0 + a + gen.standard_normal(60)
+    target[::4] = np.nan
+    data = IncompleteDataset(target, np.column_stack([a, 2.0 * a]))
+    with pytest.raises(RankDeficient, match="Gram matrix is singular"):
+        mar_impute(data, 5, RngStream(1, 0))
 
 
 def test_ols_shape_mismatch():
@@ -269,5 +296,5 @@ def test_logistic_singular_information_raises_rank_deficient(seed):
     a = gen.normal(0, 1, 60)
     x = np.column_stack([np.ones(60), a, 2.0 * a])
     y = (gen.random(60) < expit(a)).astype(int)
-    with pytest.raises(RankDeficient):
+    with pytest.raises(RankDeficient, match="information matrix is singular"):
         logistic_fit(x, y)
