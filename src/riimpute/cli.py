@@ -39,6 +39,7 @@ from .imputation import IncompleteDataset, RiConfig, complete_case, mar_impute, 
 from .pooling import fit_analysis, rubin_pool, single_fit_estimate
 from .rng import RngStream, mix_stream_id
 from .simulation import (
+    _scenario_keys,
     builtin_scenario,
     density_summary,
     format_result_table,
@@ -224,6 +225,16 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
     dataset = IncompleteDataset(target, covariates, target_name=args.target,
                                 covariate_names=tuple(covariate_names))
 
+    nonresponse_columns = None
+    if args.nonresponse_covariates:
+        wanted = _name_list(args.nonresponse_covariates, "--nonresponse-covariates")
+        bad = [name for name in wanted if name not in covariate_names]
+        if bad:
+            raise CliInputError(
+                f"--nonresponse-covariates must be a subset of --covariates; unknown: {bad}"
+            )
+        nonresponse_columns = tuple(covariate_names.index(name) for name in wanted)
+
     # every estimate is computed before the first file is written, so a
     # failed fit leaves no output behind
     pooled = None
@@ -237,16 +248,6 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
         if dataset.n_missing == 0:
             print("warning: target column has no missing cells; copies will be identical",
                   file=sys.stderr)
-        nonresponse_columns = None
-        if args.nonresponse_covariates:
-            wanted = _name_list(args.nonresponse_covariates, "--nonresponse-covariates")
-            bad = [name for name in wanted if name not in covariate_names]
-            if bad:
-                raise CliInputError(
-                    f"--nonresponse-covariates must be a subset of --covariates; unknown: {bad}"
-                )
-            nonresponse_columns = tuple(covariate_names.index(name) for name in wanted)
-
         rng = RngStream(seed, mix_stream_id("cli-impute"))
         if args.method == "mar":
             completions = mar_impute(dataset, args.m, rng)
@@ -310,10 +311,13 @@ def _write_pooled(args: argparse.Namespace, names: list[str], pooled, record: Cl
 def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     seed = _resolve_seed(args.seed)
     if args.scenario_file:
-        record = _make_record(argv, seed, [Path(args.scenario_file)])
-        config = parse_scenario_file(args.scenario_file)
-        if args.seed is not None or config.master_seed == 0:
+        path = Path(args.scenario_file)
+        record = _make_record(argv, seed, [path])
+        config = parse_scenario_file(path)
+        # seed precedence: --seed, then the file's seed, then RIIMPUTE_SEED or the default
+        if args.seed is not None or "seed" not in _scenario_keys(path):
             config = replace(config, master_seed=seed)
+        record = replace(record, seed=config.master_seed)
     else:
         record = _make_record(argv, seed, [])
         config = builtin_scenario(

@@ -60,6 +60,8 @@ def _as_design(design, response, response_name: str):
         design = design[:, None]
     if design.ndim != 2:
         raise DimensionMismatch(f"design must be 2-dimensional, got ndim={design.ndim}")
+    if design.shape[1] == 0:
+        raise DimensionMismatch("design has no columns")
     if response.ndim != 1 or design.shape[0] != response.shape[0]:
         raise DimensionMismatch(
             f"design has {design.shape[0]} rows but {response_name} has length {response.shape[0]}"

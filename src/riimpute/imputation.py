@@ -15,7 +15,7 @@ ignorable mechanism) and ``complete_case`` (drop incomplete rows).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,17 +41,24 @@ class IncompleteDataset:
     """One incomplete numeric target plus fully observed covariates.
 
     Missing target cells are NaN; covariates must be complete. Infinite
-    values are rejected in both.
+    values are rejected in both. The dataset keeps read-only copies of its
+    inputs, so later writes to the caller's arrays do not reach it, and
+    splits the rows once: ``observed_mask`` (read-only), the counts, and the
+    ``[1, z]`` designs of the observed and of the missing rows.
     """
 
     target: np.ndarray
     covariates: np.ndarray
     target_name: str = "x1"
     covariate_names: tuple[str, ...] = ()
+    observed_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    n_observed: int = field(init=False, repr=False, compare=False)
+    _observed_design: np.ndarray = field(init=False, repr=False, compare=False)
+    _missing_design: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        target = np.asarray(self.target, dtype=float)
-        covariates = np.asarray(self.covariates, dtype=float)
+        target = np.array(self.target, dtype=float)
+        covariates = np.array(self.covariates, dtype=float)
         if covariates.ndim == 1:
             covariates = covariates[:, None]
         if target.ndim != 1 or covariates.ndim != 2:
@@ -69,9 +76,18 @@ class IncompleteDataset:
         )
         if len(names) != covariates.shape[1]:
             raise DimensionMismatch("one name per covariate column required")
+        observed = ~np.isnan(target)
+        designs = [np.column_stack([np.ones(rows.sum()), covariates[rows]])
+                   for rows in (observed, ~observed)]
+        for array in (target, covariates, observed, *designs):
+            array.setflags(write=False)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "covariates", covariates)
         object.__setattr__(self, "covariate_names", names)
+        object.__setattr__(self, "observed_mask", observed)
+        object.__setattr__(self, "n_observed", int(observed.sum()))
+        object.__setattr__(self, "_observed_design", designs[0])
+        object.__setattr__(self, "_missing_design", designs[1])
 
     @property
     def n(self) -> int:
@@ -80,14 +96,6 @@ class IncompleteDataset:
     @property
     def n_covariates(self) -> int:
         return self.covariates.shape[1]
-
-    @property
-    def observed_mask(self) -> np.ndarray:
-        return ~np.isnan(self.target)
-
-    @property
-    def n_observed(self) -> int:
-        return int(self.observed_mask.sum())
 
     @property
     def n_missing(self) -> int:
@@ -120,10 +128,6 @@ class RiConfig:
             raise InvalidParameter("iterations and num_imputations must be >= 1")
 
 
-def _with_intercept(z: np.ndarray) -> np.ndarray:
-    return np.column_stack([np.ones(z.shape[0]), z])
-
-
 def _indicator(values, n: int) -> np.ndarray:
     """A caller's response or pseudo-response indicator: 0/1 vector of length n."""
     values = np.asarray(values)
@@ -141,16 +145,12 @@ def estimate_adjustment(data: IncompleteDataset, rdot) -> LinearFit:
     the last coefficient, on (rdot - 1), is the estimated shift ``delta_adj``.
     Raises DegenerateRdot when rdot is constant among the observed rows.
     """
-    rdot = _indicator(rdot, data.n)
     obs = data.observed_mask
-    rdot_obs = rdot[obs]
+    rdot_obs = _indicator(rdot, data.n)[obs]
     if rdot_obs.size == 0 or rdot_obs.min() == rdot_obs.max():
         raise DegenerateRdot("pseudo indicator is constant among observed rows")
     data.require_fittable(data.n_covariates + 2)
-
-    design = np.column_stack(
-        [_with_intercept(data.covariates[obs]), rdot_obs.astype(float) - 1.0]
-    )
+    design = np.column_stack([data._observed_design, rdot_obs.astype(float) - 1.0])
     return ols_fit(design, data.target[obs])
 
 
@@ -163,24 +163,22 @@ def _impute_draw(data: IncompleteDataset, fit: LinearFit, rng: RngStream, rdot=N
     shift ``delta_adj``, kept at its estimate, and each missing row is
     predicted as ``z.phi + delta_adj * (rdot - 2)``: shifted once when
     pseudo-observed, twice when pseudo-missing. Normal noise at the drawn
-    residual variance is added.
+    residual variance is added. ``fit`` comes from data that passed
+    ``require_fittable``, so it has at least two residual degrees of freedom.
     """
-    df = fit.n_rows - fit.n_params
-    if df <= 0:
-        raise TooFewRows("posterior draw needs positive residual degrees of freedom")
     if fit.residual_variance > 0:
-        sigma2_dot = sample_scaled_inv_chi2(df, fit.residual_variance, rng)
+        sigma2_dot = sample_scaled_inv_chi2(fit.n_rows - fit.n_params, fit.residual_variance, rng)
     else:
         sigma2_dot = 0.0
     phi = slice(0, fit.n_params if rdot is None else fit.n_params - 1)
     phi_dot = sample_mvnormal(fit.coefficients[phi], sigma2_dot * fit.gram_inverse[phi, phi], rng)
 
     mis = ~data.observed_mask
-    means = _with_intercept(data.covariates[mis]) @ phi_dot
+    means = data._missing_design @ phi_dot
     if rdot is not None:
         means = means + float(fit.coefficients[-1]) * (np.asarray(rdot)[mis] - 2.0)
     completed = data.target.copy()
-    completed[mis] = means + np.sqrt(sigma2_dot) * rng.generator.standard_normal(mis.sum())
+    completed[mis] = means + np.sqrt(sigma2_dot) * rng.generator.standard_normal(data.n_missing)
     return completed
 
 
@@ -219,9 +217,8 @@ def draw_psi_posterior(
 
 
 def _mar_fit(data: IncompleteDataset) -> LinearFit:
-    obs = data.observed_mask
     data.require_fittable(data.n_covariates + 1)
-    return ols_fit(_with_intercept(data.covariates[obs]), data.target[obs])
+    return ols_fit(data._observed_design, data.target[data.observed_mask])
 
 
 def mar_impute(data: IncompleteDataset, m: int, rng: RngStream) -> list[np.ndarray]:
@@ -308,4 +305,4 @@ def complete_case(data: IncompleteDataset) -> tuple[np.ndarray, np.ndarray]:
     """Covariates and target of the rows with an observed target."""
     data.require_fittable(data.n_covariates + 1)
     obs = data.observed_mask
-    return data.covariates[obs].copy(), data.target[obs].copy()
+    return data.covariates[obs], data.target[obs]

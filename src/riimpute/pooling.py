@@ -54,12 +54,14 @@ def fit_analysis(covariates, target) -> AnalysisFit:
     return AnalysisFit(beta_hat=fit.coefficients, variances=variances, n=fit.n_rows)
 
 
-def _interval_quantile(df: np.ndarray) -> np.ndarray:
-    q = np.empty_like(df, dtype=float)
+def _with_interval(q_bar, u_bar, b, t, df, m: int) -> PooledEstimate:
+    """The estimate with its 95% interval; infinite df take the normal quantile."""
+    quantile = np.full(len(df), norm.ppf(0.975))
     finite = np.isfinite(df)
-    q[finite] = student_t.ppf(0.975, df[finite])
-    q[~finite] = norm.ppf(0.975)
-    return q
+    quantile[finite] = student_t.ppf(0.975, df[finite])
+    half_width = quantile * np.sqrt(t)
+    return PooledEstimate(q_bar=q_bar, u_bar=u_bar, b=b, t=t, df=df,
+                          ci_low=q_bar - half_width, ci_high=q_bar + half_width, m=m)
 
 
 def rubin_pool(fits: list[AnalysisFit], m: int) -> PooledEstimate:
@@ -84,17 +86,7 @@ def rubin_pool(fits: list[AnalysisFit], m: int) -> PooledEstimate:
     df = np.full(p, inf)
     positive = b > 0
     df[positive] = (m - 1) * (1.0 + u_bar[positive] / ((1.0 + 1.0 / m) * b[positive])) ** 2
-    half_width = _interval_quantile(df) * np.sqrt(t)
-    return PooledEstimate(
-        q_bar=q_bar,
-        u_bar=u_bar,
-        b=b,
-        t=t,
-        df=df,
-        ci_low=q_bar - half_width,
-        ci_high=q_bar + half_width,
-        m=m,
-    )
+    return _with_interval(q_bar, u_bar, b, t, df, m)
 
 
 def single_fit_estimate(fit: AnalysisFit) -> PooledEstimate:
@@ -104,21 +96,10 @@ def single_fit_estimate(fit: AnalysisFit) -> PooledEstimate:
     the usual residual degrees of freedom n - p.
     """
     p = len(fit.beta_hat)
-    df = np.full(p, float(fit.n - p))
     if fit.n - p <= 0:
         raise InvalidParameter("fit must have positive residual degrees of freedom")
-    half_width = student_t.ppf(0.975, df) * np.sqrt(fit.variances)
-    zeros = np.zeros(p)
-    return PooledEstimate(
-        q_bar=fit.beta_hat.copy(),
-        u_bar=fit.variances.copy(),
-        b=zeros,
-        t=fit.variances.copy(),
-        df=df,
-        ci_low=fit.beta_hat - half_width,
-        ci_high=fit.beta_hat + half_width,
-        m=1,
-    )
+    return _with_interval(fit.beta_hat.copy(), fit.variances.copy(), np.zeros(p),
+                          fit.variances.copy(), np.full(p, float(fit.n - p)), 1)
 
 
 def coverage(pooled: PooledEstimate, truth) -> np.ndarray:

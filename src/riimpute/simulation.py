@@ -326,14 +326,8 @@ def density_summary(values, group_label: str = "") -> DensitySummary:
     )
 
 
-def parse_scenario_file(path) -> ScenarioConfig:
-    """Read a key = value scenario description.
-
-    Recognised keys: mechanism, beta (set name or three numbers), psi (three
-    numbers), n, replications, m, iterations, seed. Omitted beta/psi fall back
-    to the builtin values for the mechanism. Lines starting with '#' are
-    comments.
-    """
+def _scenario_keys(path) -> dict[str, str]:
+    """The ``key = value`` pairs of a scenario file, keys lower-cased; unknown keys raise."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -354,6 +348,18 @@ def parse_scenario_file(path) -> ScenarioConfig:
     unknown = set(raw) - known
     if unknown:
         raise InvalidParameter(f"unknown scenario keys: {sorted(unknown)}")
+    return raw
+
+
+def parse_scenario_file(path) -> ScenarioConfig:
+    """Read a key = value scenario description.
+
+    Recognised keys: mechanism, beta (set name or three numbers), psi (three
+    numbers), n, replications, m, iterations, seed. Omitted beta/psi fall back
+    to the builtin values for the mechanism, an omitted seed to 0. Lines
+    starting with '#' are comments.
+    """
+    raw = _scenario_keys(path)
     if "mechanism" not in raw:
         raise InvalidParameter("scenario file must set 'mechanism'")
     mechanism = raw["mechanism"].lower()

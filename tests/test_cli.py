@@ -237,7 +237,7 @@ def test_impute_collinear_selection_covariates_exits_3(tmp_path, capsys, method)
     assert list(tmp_path.glob("c_*")) == []
 
 
-@pytest.mark.parametrize("method", ["ri", "mar"])
+@pytest.mark.parametrize("method", ["ri", "mar", "cc"])
 @pytest.mark.parametrize("options", [
     ["--covariates", "a,a"],
     ["--covariates", "a, b,a"],
@@ -253,6 +253,21 @@ def test_impute_repeated_covariate_name_exits_2(tmp_path, capsys, method, option
     assert code == 2
     err = capsys.readouterr().err
     assert f"error: {options[-2]} names a more than once" in err
+    assert list(tmp_path.glob("c_*")) == []
+
+
+@pytest.mark.parametrize("method", ["ri", "mar", "cc"])
+def test_impute_unknown_nonresponse_covariate_exits_2(tmp_path, capsys, method):
+    csv_path = tmp_path / "col.csv"
+    collinear_csv(csv_path)
+    code = main([
+        "impute", str(csv_path), "--target", "x", "--covariates", "a",
+        "--nonresponse-covariates", "a,zzz", "--method", method, "--seed", "1",
+        "--output-prefix", str(tmp_path / "c"),
+    ])
+    assert code == 2
+    assert ("error: --nonresponse-covariates must be a subset of --covariates; "
+            "unknown: ['zzz']") in capsys.readouterr().err
     assert list(tmp_path.glob("c_*")) == []
 
 
@@ -396,16 +411,36 @@ def test_simulate_jobs_below_one_exits_2(tmp_path, jobs):
     assert not out.exists()
 
 
-def test_simulate_scenario_file(tmp_path):
+def test_simulate_scenario_file(tmp_path, monkeypatch):
+    # seed precedence: --seed, then the file's seed (0 included), then
+    # RIIMPUTE_SEED, then the default; the header cites the seed the run used,
+    # and the table is the builtin scenario's at that seed
     scenario = tmp_path / "scenario.txt"
-    scenario.write_text(
-        "mechanism = mcar\nbeta = strong\nn = 200\nreplications = 2\nseed = 4\n",
-        encoding="utf-8",
-    )
     out = tmp_path / "table.csv"
-    assert main(["simulate", "--scenario-file", str(scenario), "--output", str(out)]) == 0
-    body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
-    assert len(body) == 1 + 9
+
+    def run(*argv):
+        assert main(["simulate", *argv, "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        seeds = [line for line in lines if line.startswith("# seed:")]
+        return seeds, [line for line in lines if not line.startswith("#")]
+
+    cases = [(4, [], None, 4), (7, [], None, 7), (0, [], None, 0), (7, ["--seed", "3"], None, 3),
+             (7, [], "12", 7), (None, [], "12", 12), (None, [], None, 54321)]
+    for file_seed, options, env, used in cases:
+        if env is None:
+            monkeypatch.delenv("RIIMPUTE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RIIMPUTE_SEED", env)
+        seed_line = "" if file_seed is None else f"seed = {file_seed}\n"
+        scenario.write_text(
+            "mechanism = mcar\nbeta = strong\nn = 200\nreplications = 2\n" + seed_line,
+            encoding="utf-8",
+        )
+        seeds, body = run("--scenario-file", str(scenario), *options)
+        assert seeds == [f"# seed: {used}"]
+        assert len(body) == 1 + 9
+        builtin = run("--scenario", "mcar", "-n", "200", "--replications", "2", "--seed", str(used))
+        assert body == builtin[1]
 
 
 @pytest.mark.parametrize(

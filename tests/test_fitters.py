@@ -151,6 +151,15 @@ def test_ols_shape_mismatch():
         ols_fit([[1, 0], [1, 1]], [1, 2, 3])
 
 
+@pytest.mark.parametrize("fitter, design, response", [
+    (ols_fit, np.empty((5, 0)), np.ones(5)),
+    (logistic_fit, np.empty((4, 0)), [0, 1, 0, 1]),
+], ids=["ols", "logistic"])
+def test_zero_column_design_raises_dimension_mismatch(fitter, design, response):
+    with pytest.raises(DimensionMismatch, match="design has no columns"):
+        fitter(design, response)
+
+
 # ---------------------------------------------------------------------------
 # logistic_fit
 

@@ -49,6 +49,33 @@ def test_dataset_validation():
     assert data.covariate_names == ("z1",)
 
 
+def test_dataset_ignores_later_writes_to_the_callers_arrays():
+    gen = RngStream(8, 0).generator
+    covariates = gen.normal(0, 1, (40, 2))
+    target = covariates.sum(axis=1) + gen.standard_normal(40)
+    target[::5] = np.nan
+    data = IncompleteDataset(target, covariates)
+    mask = data.observed_mask.copy()
+    config = RiConfig(iterations=3, num_imputations=2, seed=4)
+    before = ri_impute(data, config) + mar_impute(data, 2, RngStream(4, 1))
+
+    target[:10] = np.nan
+    target[5] = 1.0
+    covariates[:] = 0.0
+    assert data.n_missing == 8
+    assert np.array_equal(data.observed_mask, mask)
+    after = ri_impute(data, config) + mar_impute(data, 2, RngStream(4, 1))
+    for old, new in zip(before, after):
+        assert np.array_equal(old, new)
+
+
+def test_dataset_arrays_are_read_only():
+    data = IncompleteDataset(np.array([1.0, np.nan, 3.0]), np.arange(3.0))
+    for array in (data.target, data.covariates, data.observed_mask):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+
 def test_dataset_rejects_infinite_values():
     with pytest.raises(InvalidParameter):
         IncompleteDataset(np.array([1.0, np.inf, np.nan]), np.arange(3.0))
