@@ -95,15 +95,20 @@ def _make_record(argv: list[str], seed: int, input_paths: list[Path]) -> CliRunR
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    """``--seed``, else ``RIIMPUTE_SEED``, else the default; a seed must fit in 64 unsigned bits."""
+    source = "--seed"
+    if value is None:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return DEFAULT_SEED
+        source = SEED_ENV_VAR
         try:
-            return int(env)
+            value = int(env)
         except ValueError as exc:
             raise CliInputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    if not 0 <= value < 2**64:
+        raise CliInputError(f"{source} must be an integer in [0, 2**64), got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -160,31 +165,42 @@ def _where(path: Path, index: int) -> str:
         return f"{path}:{next(islice(kept, index, None))}"
 
 
-# rows formatted per write: bounds the text held at once to a few hundred kB
+# rows joined per write: bounds the text held at once to a few hundred kB
 _CSV_CHUNK_ROWS = 4096
 
 
+def _csv_cells(column) -> list[str]:
+    """One column's CSV cells: ``%.17g``, NaN as an empty cell."""
+    values = np.asarray(column, dtype=float).tolist()
+    # "nan" is the only %.17g token containing "nan"
+    text = ("%.17g\n" * len(values)) % tuple(values)
+    return text.replace("nan", "").split("\n")[:-1]
+
+
 def write_csv_columns(
-    path: Path, header: list[str], columns: dict[str, np.ndarray], record: CliRunRecord
+    path: Path, header: list[str], columns: dict[str, np.ndarray | list[str]], record: CliRunRecord
 ) -> None:
     """Write ``columns`` in ``header`` order, cells as ``%.17g`` and NaN as empty.
 
-    Rows are formatted a chunk at a time with one ``%`` over the chunk's
-    values; the bytes are those ``csv.writer`` gives row by row (numeric
-    fields need no quoting, and a row of one empty field is written ``""``).
+    A column is an array, or the list ``_csv_cells`` made of it, so a caller
+    writing one column to several files formats it once. Rows are joined and
+    written a chunk at a time; the bytes are those ``csv.writer`` gives row
+    by row (numeric fields need no quoting, and a row of one empty field is
+    written ``""``).
     """
-    table = np.column_stack([columns[name] for name in header])
-    row_format = ",".join(["%.17g"] * len(header)) + "\n"
-    # "nan" is the only %.17g token containing "nan"
-    empty = '""' if len(header) == 1 else ""
+    ordered = [columns[name] for name in header]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         for line in record.header_lines():
             handle.write(f"# {line}\n")
         csv.writer(handle, lineterminator="\n").writerow(header)
-        for start in range(0, len(table), _CSV_CHUNK_ROWS):
-            chunk = table[start:start + _CSV_CHUNK_ROWS]
-            text = (row_format * len(chunk)) % tuple(chunk.ravel().tolist())
-            handle.write(text.replace("nan", empty))
+        for start in range(0, len(ordered[0]), _CSV_CHUNK_ROWS):
+            stop = start + _CSV_CHUNK_ROWS
+            chunk = [column[start:stop] if isinstance(column, list)
+                     else _csv_cells(column[start:stop]) for column in ordered]
+            rows = map(",".join, zip(*chunk))
+            if len(header) == 1:
+                rows = (row or '""' for row in rows)
+            handle.write("\n".join(rows) + "\n")
 
 
 def _require_columns(header: list[str], wanted: list[str], path: Path) -> None:
@@ -258,7 +274,9 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
         if covariate_names and len(completions) >= 2:
             fits = [fit_analysis(covariates, completed) for completed in completions]
             pooled = rubin_pool(fits, len(fits))
-        outputs = {f"imp{k}": {**data, args.target: completed}
+        # the m files differ only in the target column: format the others once
+        shared = {name: _csv_cells(data[name]) for name in header if name != args.target}
+        outputs = {f"imp{k}": {**shared, args.target: completed}
                    for k, completed in enumerate(completions, start=1)}
 
     for suffix, out_cols in outputs.items():

@@ -89,6 +89,10 @@ class IncompleteDataset:
         object.__setattr__(self, "_observed_design", designs[0])
         object.__setattr__(self, "_missing_design", designs[1])
 
+    def __reduce__(self):
+        # rebuild through __post_init__: pickle does not keep numpy's read-only flag
+        return type(self), (self.target, self.covariates, self.target_name, self.covariate_names)
+
     @property
     def n(self) -> int:
         return self.target.shape[0]

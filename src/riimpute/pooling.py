@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import inf
 
 import numpy as np
-from scipy.stats import norm, t as student_t
+from scipy.special import ndtri, stdtrit
 
 from .errors import DimensionMismatch, InvalidParameter
 from .fitters import ols_fit
@@ -55,10 +55,15 @@ def fit_analysis(covariates, target) -> AnalysisFit:
 
 
 def _with_interval(q_bar, u_bar, b, t, df, m: int) -> PooledEstimate:
-    """The estimate with its 95% interval; infinite df take the normal quantile."""
-    quantile = np.full(len(df), norm.ppf(0.975))
+    """The estimate with its 95% interval; infinite df take the normal quantile.
+
+    ``stdtrit`` and ``ndtri`` are the functions SciPy's ``t.ppf`` and
+    ``norm.ppf`` evaluate (same bits), without importing its stats package,
+    which costs about 0.8 s per process.
+    """
+    quantile = np.full(len(df), ndtri(0.975))
     finite = np.isfinite(df)
-    quantile[finite] = student_t.ppf(0.975, df[finite])
+    quantile[finite] = stdtrit(df[finite], 0.975)
     half_width = quantile * np.sqrt(t)
     return PooledEstimate(q_bar=q_bar, u_bar=u_bar, b=b, t=t, df=df,
                           ci_low=q_bar - half_width, ci_high=q_bar + half_width, m=m)

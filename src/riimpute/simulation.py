@@ -68,6 +68,10 @@ class ScenarioConfig:
             raise InvalidParameter("n must be at least 50")
         if self.replications < 1:
             raise InvalidParameter("replications must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise InvalidParameter(
+                f"master_seed must be an integer in [0, 2**64), got {self.master_seed}"
+            )
 
 
 @dataclass(frozen=True)
@@ -220,7 +224,7 @@ def run_scenario(config: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     workers = min(n_jobs, config.replications)
     if workers > 1:
         # fork: a spawned or forkserver worker re-imports numpy and riimpute
-        # (about 0.8 s), longer than a small scenario takes to run.
+        # (about 0.4-0.5 s), longer than a small scenario takes to run.
         context = multiprocessing.get_context("fork")
         chunksize = max(1, config.replications // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:

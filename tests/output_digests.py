@@ -16,7 +16,9 @@ builtin scenarios (serially and in two worker processes, which must print the
 same digest), and the files written by the CLI commands ``impute`` (ri, mar
 and cc at m = 5), ``simulate`` and ``density``, plus the table of a ``simulate
 --scenario-file`` run whose file sets ``seed = 7`` and whose command line sets
-no seed (its header must cite seed 7). The CLI input carries an incomplete
+no seed (its header must cite seed 7), and two more ``impute`` layouts: the
+same input with its target second in the header (``x2,x1,x3,x4``), and an
+intercept-only run on a one-column file. The CLI input carries an incomplete
 column ``x4`` that is no covariate, so ``impute`` copies its empty cells and edge values
 (-0.0, a subnormal, the largest float) through the CSV writer. It uses only
 names that are public in every version of the package and draws its data with
@@ -156,6 +158,16 @@ def library_digests() -> list[str]:
     return lines
 
 
+def _write_input(path: str, header: list[str], data: IncompleteDataset) -> None:
+    """The CLI input: target x1, covariates x2 and x3, pass-through x4, in ``header`` order."""
+    columns = {"x1": data.target, "x2": data.covariates[:, 0], "x3": data.covariates[:, 1],
+               "x4": passthrough_column(data.n)}
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in zip(*(columns[name] for name in header)):
+            handle.write(",".join("" if np.isnan(v) else repr(float(v)) for v in row) + "\n")
+
+
 def cli_digests() -> list[str]:
     lines = []
     previous = os.getcwd()
@@ -163,11 +175,7 @@ def cli_digests() -> list[str]:
         os.chdir(tmp)
         try:
             data = mnar_data(5, 400)
-            with open("input.csv", "w", encoding="utf-8") as handle:
-                handle.write("x1,x2,x3,x4\n")
-                for x, (a, b), c in zip(data.target, data.covariates, passthrough_column(400)):
-                    cells = ["" if np.isnan(v) else repr(float(v)) for v in (x, a, b, c)]
-                    handle.write(",".join(cells) + "\n")
+            _write_input("input.csv", ["x1", "x2", "x3", "x4"], data)
             commands = [
                 ["impute", "input.csv", "--target", "x1", "--covariates", "x2,x3",
                  "--nonresponse-covariates", "x2", "--method", method, "-m", "5",
@@ -194,6 +202,22 @@ def cli_digests() -> list[str]:
                 code = main(["simulate", "--scenario-file", "scenario.txt", "--output", "s.csv"])
             table = hashlib.sha256(Path("s.csv").read_bytes()).hexdigest()
             lines.append(f"cli simulate --scenario-file seed=7 exit={code} {table}")
+            # two more impute layouts for the CSV writer: the target in the middle
+            # of the header, and a one-column file imputed from the intercept
+            _write_input("reordered.csv", ["x2", "x1", "x3", "x4"], data)
+            _write_input("one.csv", ["x1"], data)
+            for label, argv in (
+                ("reordered x2,x1,x3,x4", ["reordered.csv", "--covariates", "x2,x3",
+                                            "--method", "mar", "-m", "3", "--output-prefix", "re"]),
+                ("one-column intercept-only", ["one.csv", "--method", "ri", "-m", "2",
+                                               "--iterations", "3", "--output-prefix", "one"]),
+            ):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = main(["impute", *argv, "--target", "x1", "--seed", "11"])
+                digest = hashlib.sha256()
+                for path in sorted(Path(".").glob(f"{argv[-1]}_*")):
+                    digest.update(path.name.encode() + path.read_bytes())
+                lines.append(f"cli impute {label} exit={code} {digest.hexdigest()}")
         finally:
             os.chdir(previous)
     return lines

@@ -443,6 +443,44 @@ def test_simulate_scenario_file(tmp_path, monkeypatch):
         assert body == builtin[1]
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_exits_2(tmp_path, capsys, monkeypatch, seed):
+    # checked once where the seed is resolved, for every command and method,
+    # before any replication or imputation could swallow it
+    monkeypatch.delenv("RIIMPUTE_SEED", raising=False)
+    csv_path = tmp_path / "data.csv"
+    mnar_csv(csv_path, n=200)
+    impute = ["impute", str(csv_path), "--target", "x1", "--covariates", "x2,x3",
+              "-m", "2", "--iterations", "2", "--output-prefix", str(tmp_path / "o")]
+    commands = [impute + ["--method", method, "--seed", seed] for method in ("ri", "mar", "cc")]
+    commands.append(["simulate", "--scenario", "mcar", "-n", "50", "--replications", "2",
+                     "--seed", seed, "--output", str(tmp_path / "t.csv")])
+    for argv in commands:
+        assert main(argv) == 2
+        assert (f"error: --seed must be an integer in [0, 2**64), got {seed}"
+                in capsys.readouterr().err)
+    monkeypatch.setenv("RIIMPUTE_SEED", seed)
+    assert main(impute + ["--method", "cc"]) == 2
+    assert (f"error: RIIMPUTE_SEED must be an integer in [0, 2**64), got {seed}"
+            in capsys.readouterr().err)
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(f"mechanism = mcar\nn = 50\nreplications = 2\nseed = {seed}\n",
+                        encoding="utf-8")
+    monkeypatch.delenv("RIIMPUTE_SEED")
+    assert main(["simulate", "--scenario-file", str(scenario),
+                 "--output", str(tmp_path / "t.csv")]) == 2
+    assert "error: InvalidParameter: master_seed must be" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "scenario.txt"]
+
+
+def test_largest_seed_is_accepted(tmp_path):
+    csv_path = tmp_path / "data.csv"
+    mnar_csv(csv_path, n=200)
+    assert main(["impute", str(csv_path), "--target", "x1", "--covariates", "x2,x3",
+                 "--method", "mar", "-m", "2", "--seed", str(2**64 - 1),
+                 "--output-prefix", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize(
     "line",
     ["n = abc", "replications = 2.5", "m = five", "iterations = ten", "seed = 1e3",

@@ -1,4 +1,5 @@
 import logging
+import pickle
 
 import numpy as np
 import pytest
@@ -74,6 +75,19 @@ def test_dataset_arrays_are_read_only():
     for array in (data.target, data.covariates, data.observed_mask):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[1]
+
+
+def test_dataset_stays_read_only_through_pickle():
+    data = IncompleteDataset(np.array([1.0, np.nan, 3.0, 4.0]), np.arange(8.0).reshape(4, 2),
+                             target_name="y", covariate_names=("a", "b"))
+    copy = pickle.loads(pickle.dumps(data))
+    assert (copy.target_name, copy.covariate_names) == ("y", ("a", "b"))
+    assert (copy.n_observed, copy.n_missing) == (3, 1)
+    for name in ("target", "covariates", "observed_mask", "_observed_design", "_missing_design"):
+        array = getattr(copy, name)
+        assert array.tobytes() == getattr(data, name).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = array[:1]
 
 
 def test_dataset_rejects_infinite_values():

@@ -36,6 +36,19 @@ def test_public_names_are_pinned():
         assert getattr(riimpute, name) is not None
 
 
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs about 0.8 s per interpreter, and every CLI command starts one
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, riimpute, riimpute.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # demos/03_simulation_study.py is left out: it runs a Monte Carlo grid (about
 # 90 s on a 2-CPU machine), too slow for the default run.
 @pytest.mark.parametrize(

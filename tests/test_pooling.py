@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import norm
+from scipy.stats import norm, t as student_t
 
 from riimpute import (
     AnalysisFit,
@@ -84,6 +84,34 @@ def test_pool_identical_fits_use_normal_quantile():
     assert np.all(np.isinf(pooled.df))
     half = norm.ppf(0.975) * np.sqrt(pooled.t)
     assert np.allclose(pooled.ci_high - pooled.q_bar, half, atol=1e-12)
+
+
+def assert_interval_uses_stats_quantiles(est):
+    # the bits ``t.ppf`` and ``norm.ppf`` give, from ``scipy.special`` inside the package
+    quantile = np.where(np.isinf(est.df), norm.ppf(0.975),
+                        student_t.ppf(0.975, np.where(np.isinf(est.df), 1.0, est.df)))
+    half = quantile * np.sqrt(est.t)
+    assert est.ci_low.tobytes() == (est.q_bar - half).tobytes()
+    assert est.ci_high.tobytes() == (est.q_bar + half).tobytes()
+
+
+def test_pooled_quantiles_match_scipy_stats_bit_for_bit():
+    # m = 2 with estimates 0 and 1 gives b = 1/2 and df = (1 + u / 0.75)^2, so
+    # u sweeps df from 1 to 1e15; the last coordinate has b = 0 and infinite df
+    wanted_df = np.geomspace(1.0, 1e15, 2000)
+    u = np.append(0.75 * (np.sqrt(wanted_df) - 1.0), 1.0)
+    fits = [make_fit(np.zeros(len(u)), u), make_fit(np.append(np.ones(len(u) - 1), 0.0), u)]
+    pooled = rubin_pool(fits, 2)
+    assert pooled.df[0] == 1.0 and 0.99e15 < pooled.df[-2] < 1.01e15
+    assert np.isinf(pooled.df[-1])
+    assert_interval_uses_stats_quantiles(pooled)
+
+
+def test_single_fit_quantiles_match_scipy_stats_bit_for_bit():
+    for df in np.unique(np.round(np.geomspace(1.0, 1e15, 300))):
+        est = single_fit_estimate(make_fit([1.0, -2.0], [0.25, 3.0], n=int(df) + 2))
+        assert np.all(est.df == df)
+        assert_interval_uses_stats_quantiles(est)
 
 
 def test_pool_total_variance_identity_and_widening():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,6 +176,16 @@ def test_scenario_validation():
         builtin_scenario("mcar", n=10)
     with pytest.raises(InvalidParameter):
         builtin_scenario("mcar", replications=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_master_seed_is_rejected_up_front(seed):
+    # not counted as failed replications one by one
+    with pytest.raises(InvalidParameter, match="master_seed"):
+        builtin_scenario("mcar", "strong", n=50, replications=40, master_seed=seed)
+    config = builtin_scenario("mcar", "strong", n=50, replications=2, master_seed=2**64 - 1)
+    with pytest.raises(InvalidParameter, match="master_seed"):
+        replace(config, master_seed=seed)
 
 
 def test_result_table_layout():
