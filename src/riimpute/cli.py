@@ -292,32 +292,22 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
     return 0
 
 
-def _pooled_payload(record: CliRunRecord, method: str, names: list[str], pooled) -> dict:
-    return {
-        "run": {
-            "command": record.command,
-            "seed": record.seed,
-            "version": record.version,
-            "input_sha256": record.input_digest,
-        },
-        "method": method,
-        "analysis": [
-            {
-                "coefficient": name,
-                "estimate": float(pooled.q_bar[j]),
-                "se": float(np.sqrt(pooled.t[j])),
-                "ci_low": float(pooled.ci_low[j]),
-                "ci_high": float(pooled.ci_high[j]),
-                "df": (None if np.isinf(pooled.df[j]) else float(pooled.df[j])),
-            }
-            for j, name in enumerate(names)
-        ],
-    }
-
-
 def _write_pooled(args: argparse.Namespace, names: list[str], pooled, record: CliRunRecord) -> None:
+    run = {"command": record.command, "seed": record.seed, "version": record.version,
+           "input_sha256": record.input_digest}
+    analysis = [
+        {
+            "coefficient": name,
+            "estimate": float(pooled.q_bar[j]),
+            "se": float(np.sqrt(pooled.t[j])),
+            "ci_low": float(pooled.ci_low[j]),
+            "ci_high": float(pooled.ci_high[j]),
+            "df": (None if np.isinf(pooled.df[j]) else float(pooled.df[j])),
+        }
+        for j, name in enumerate(names)
+    ]
+    payload = {"run": run, "method": args.method, "analysis": analysis}
     out_path = Path(f"{args.output_prefix}_pooled.json")
-    payload = _pooled_payload(record, args.method, names, pooled)
     out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out_path}", file=sys.stderr)
 

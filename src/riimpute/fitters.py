@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    NonConvergence,
-    RankDeficient,
-    Separation,
-)
+from .errors import DimensionMismatch, InvalidParameter, NonConvergence, RankDeficient, Separation
 
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 25
@@ -97,7 +91,12 @@ def ols_fit(design, response) -> LinearFit:
     n, p = x.shape
     if n < p:
         raise DimensionMismatch(f"need at least {p} rows for {p} parameters, got {n}")
+    return _ols(x, y)
 
+
+def _ols(x: np.ndarray, y: np.ndarray) -> LinearFit:
+    """Kernel of ``ols_fit`` for a float design with at least as many rows as columns."""
+    n, p = x.shape
     gram_inverse = _checked_inverse(x.T @ x, "Gram matrix")
     coefficients = gram_inverse @ (x.T @ y)
     residuals = y - x @ coefficients
@@ -191,10 +190,14 @@ def logistic_fit(design, indicator, start=None) -> LogisticFit:
         raise DimensionMismatch(f"start has shape {start.shape}, expected ({p},)")
     if not np.all(np.isfinite(start)):
         raise InvalidParameter("start must be finite")
+    return _logistic(x, y, start)
 
+
+def _logistic(x: np.ndarray, y: np.ndarray, start: np.ndarray) -> LogisticFit:
+    """Kernel of ``logistic_fit`` for arguments that pass its checks."""
     beta, mu, iterations, error = _irls(x, y, start)
     if error is not None and start.any():
-        beta, mu, cold_iterations, error = _irls(x, y, np.zeros(p))
+        beta, mu, cold_iterations, error = _irls(x, y, np.zeros_like(start))
         iterations += cold_iterations
     if error is not None:
         raise error

@@ -19,16 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateRdot,
-    DimensionMismatch,
-    InvalidParameter,
-    Separation,
-    TooFewRows,
-)
-from .fitters import LinearFit, logistic_fit, ols_fit
-from .mechanism import NonresponseParams, generate_missingness
-from .rng import RngStream, mix_stream_id, sample_mvnormal, sample_scaled_inv_chi2
+from .errors import DegenerateRdot, DimensionMismatch, InvalidParameter, Separation, TooFewRows
+from .fitters import LinearFit, _logistic, _ols, logistic_fit
+from .mechanism import NonresponseParams, _probability
+from .rng import RngStream, _bernoulli, _mvnormal, mix_stream_id, sample_scaled_inv_chi2
 
 logger = logging.getLogger(__name__)
 
@@ -132,16 +126,6 @@ class RiConfig:
             raise InvalidParameter("iterations and num_imputations must be >= 1")
 
 
-def _indicator(values, n: int) -> np.ndarray:
-    """A caller's response or pseudo-response indicator: 0/1 vector of length n."""
-    values = np.asarray(values)
-    if values.ndim != 1 or not np.all((values == 0) | (values == 1)):
-        raise InvalidParameter("indicator must be a 1-d vector of 0s and 1s")
-    if len(values) != n:
-        raise DimensionMismatch(f"indicator has length {len(values)}, expected {n}")
-    return values
-
-
 def estimate_adjustment(data: IncompleteDataset, rdot) -> LinearFit:
     """Fit the observed-part regression with the pseudo-indicator offset.
 
@@ -149,13 +133,23 @@ def estimate_adjustment(data: IncompleteDataset, rdot) -> LinearFit:
     the last coefficient, on (rdot - 1), is the estimated shift ``delta_adj``.
     Raises DegenerateRdot when rdot is constant among the observed rows.
     """
-    obs = data.observed_mask
-    rdot_obs = _indicator(rdot, data.n)[obs]
+    rdot = np.asarray(rdot)
+    if rdot.ndim != 1 or not np.all((rdot == 0) | (rdot == 1)):
+        raise InvalidParameter("indicator must be a 1-d vector of 0s and 1s")
+    if len(rdot) != data.n:
+        raise DimensionMismatch(f"indicator has length {len(rdot)}, expected {data.n}")
+    design = np.column_stack([data._observed_design, np.zeros(data.n_observed)])
+    return _adjustment_fit(data, rdot, design)
+
+
+def _adjustment_fit(data: IncompleteDataset, rdot: np.ndarray, design: np.ndarray) -> LinearFit:
+    """Kernel of ``estimate_adjustment``; it fills ``design``'s last column with rdot - 1."""
+    rdot_obs = rdot[data.observed_mask]
     if rdot_obs.size == 0 or rdot_obs.min() == rdot_obs.max():
         raise DegenerateRdot("pseudo indicator is constant among observed rows")
     data.require_fittable(data.n_covariates + 2)
-    design = np.column_stack([data._observed_design, rdot_obs.astype(float) - 1.0])
-    return ols_fit(design, data.target[obs])
+    design[:, -1] = rdot_obs - 1.0
+    return _ols(design, data.target[data.observed_mask])
 
 
 def _impute_draw(data: IncompleteDataset, fit: LinearFit, rng: RngStream, rdot=None) -> np.ndarray:
@@ -175,7 +169,8 @@ def _impute_draw(data: IncompleteDataset, fit: LinearFit, rng: RngStream, rdot=N
     else:
         sigma2_dot = 0.0
     phi = slice(0, fit.n_params if rdot is None else fit.n_params - 1)
-    phi_dot = sample_mvnormal(fit.coefficients[phi], sigma2_dot * fit.gram_inverse[phi, phi], rng)
+    # exactly symmetric: a scaled leading block of _checked_inverse's output
+    phi_dot = _mvnormal(fit.coefficients[phi], sigma2_dot * fit.gram_inverse[phi, phi], rng)
 
     mis = ~data.observed_mask
     means = data._missing_design @ phi_dot
@@ -206,23 +201,18 @@ def draw_psi_posterior(
     Fisher information as covariance. ``start``, typically the previous sweep's
     draw, is where the fit's iterations begin (see ``logistic_fit``).
     """
-    completed_target = np.asarray(completed_target, dtype=float)
-    covariates = np.asarray(covariates, dtype=float)
-    if covariates.ndim == 1:
-        covariates = covariates[:, None]
-    design = np.column_stack(
-        [np.ones(completed_target.shape[0]), completed_target, covariates]
-    )
+    design = np.column_stack([np.ones(len(completed_target)), completed_target, covariates])
     if start is not None:
         start = np.r_[start.psi0, start.psi1, start.psi_z]
     fit = logistic_fit(design, r, start=start)
-    draw = sample_mvnormal(fit.coefficients, fit.covariance, rng)
+    # like every covariance fitters return, fit.covariance is exactly symmetric
+    draw = _mvnormal(fit.coefficients, fit.covariance, rng)
     return NonresponseParams(psi0=draw[0], psi1=draw[1], psi_z=draw[2:])
 
 
 def _mar_fit(data: IncompleteDataset) -> LinearFit:
     data.require_fittable(data.n_covariates + 1)
-    return ols_fit(data._observed_design, data.target[data.observed_mask])
+    return _ols(data._observed_design, data.target[data.observed_mask])
 
 
 def mar_impute(data: IncompleteDataset, m: int, rng: RngStream) -> list[np.ndarray]:
@@ -256,45 +246,63 @@ def ri_impute(
     and reimpute the missing rows with the estimated shift.
 
     ``nonresponse_columns`` chooses which covariate columns enter the
-    selection model (default: all of them). If the drawn pseudo indicator is
+    selection model (default: all of them); a non-integer, out-of-range or
+    repeated index raises InvalidParameter. If the drawn pseudo indicator is
     constant among observed rows it is redrawn up to ``MAX_RDOT_REDRAWS``
     times, after which the sweep falls back to an unshifted imputation and
     logs a warning. A sweep whose selection-model fit separates takes the
     same fallback and warning. Within a chain, each selection-model fit
     starts from the chain's latest coefficient draw; the first starts at zero.
+
+    The sweeps run the kernels of the public steps without their argument
+    checks: every array they get is built here from the checked dataset.
     """
+    k = data.n_covariates
+    cols = list(range(k)) if nonresponse_columns is None else list(nonresponse_columns)
+    if not all(
+        isinstance(c, (int, np.integer)) and not isinstance(c, bool) and 0 <= c < k for c in cols
+    ) or len(set(cols)) < len(cols):
+        raise InvalidParameter(f"nonresponse columns {tuple(cols)} must be distinct "
+                               f"integer indices of the {k} covariates")
     if data.n_missing == 0:
-        logger.warning(
-            "target has no missing values; returning %d identical copies",
-            config.num_imputations,
-        )
+        logger.warning("target has no missing values; returning %d identical copies",
+                       config.num_imputations)
         return [data.target.copy() for _ in range(config.num_imputations)]
     data.require_imputable()
-    cols = tuple(range(data.n_covariates)) if nonresponse_columns is None else tuple(nonresponse_columns)
     z_nr = data.covariates[:, cols]
-
     obs = data.observed_mask
+    # 0s and 1s both occur (require_imputable); as floats, not cast in every IRLS product
+    response = obs.astype(float)
+    # built once; each sweep overwrites the target column and the rdot - 1 column
+    selection_design = np.column_stack([np.ones(data.n), data.target, z_nr])
+    adjustment_design = np.column_stack([data._observed_design, np.zeros(data.n_observed)])
+
     observed_values = data.target[obs]
     results: list[np.ndarray] = []
     for chain in range(config.num_imputations):
         rng = RngStream(config.seed, mix_stream_id("ri-chain", chain))
         completed = data.target.copy()
         completed[~obs] = rng.generator.choice(observed_values, size=data.n_missing, replace=True)
-        psi_dot = None
+        psi_dot = np.zeros(selection_design.shape[1])
         for _ in range(config.iterations):
+            selection_design[:, 1] = completed
             try:
-                psi_dot = draw_psi_posterior(completed, z_nr, obs, rng, start=psi_dot)
+                fit = _logistic(selection_design, response, psi_dot)
             except Separation:
                 logger.warning("selection model separated; sweep uses zero shift")
                 completed = _impute_draw(data, _mar_fit(data), rng)
                 continue
+            psi_dot = _mvnormal(fit.coefficients, fit.covariance, rng)
+            if not np.isfinite(psi_dot).all():  # the check NonresponseParams makes
+                raise InvalidParameter("nonresponse coefficients must be finite")
             for _ in range(MAX_RDOT_REDRAWS + 1):
-                rdot = generate_missingness(completed, z_nr, psi_dot, rng)
+                rdot = _bernoulli(_probability(psi_dot, completed, z_nr), rng)
                 try:
-                    completed = impute_given_rdot(data, rdot, rng)
-                    break
+                    adjustment = _adjustment_fit(data, rdot, adjustment_design)
                 except DegenerateRdot:
-                    pass
+                    continue
+                completed = _impute_draw(data, adjustment, rng, rdot)
+                break
             else:
                 logger.warning(
                     "pseudo indicator degenerate after %d redraws; sweep uses zero shift",

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DimensionMismatch, InvalidParameter
-from .rng import RngStream, sample_bernoulli
+from .rng import RngStream, _bernoulli
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,11 @@ def _covariate_matrix(z, n_rows: int, n_coefs: int) -> np.ndarray:
     return z
 
 
+def _probability(psi: np.ndarray, x1: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Kernel of ``response_probability``: ``psi`` is ``[psi0, psi1, *psi_z]``, z is (n, k)."""
+    return expit(psi[0] + psi[1] * x1 + z @ psi[2:])
+
+
 def response_probability(params: NonresponseParams, x1, z=None):
     """P(observed) under the selection model, for one row or row-wise."""
     x1 = np.asarray(x1, dtype=float)
@@ -62,8 +67,7 @@ def response_probability(params: NonresponseParams, x1, z=None):
     x1 = np.atleast_1d(x1)
     n = x1.shape[0]
     zmat = _covariate_matrix(z if z is not None else np.zeros((n, 0)), n, len(params.psi_z))
-    eta = params.psi0 + params.psi1 * x1 + zmat @ params.psi_z
-    prob = expit(eta)
+    prob = _probability(np.r_[params.psi0, params.psi1, params.psi_z], x1, zmat)
     return float(prob[0]) if scalar else prob
 
 
@@ -74,6 +78,4 @@ def generate_missingness(
 
     Returns an int8 vector, 1 where the target value is observed.
     """
-    target = np.asarray(target, dtype=float)
-    prob = response_probability(params, target, covariates)
-    return sample_bernoulli(np.atleast_1d(prob), rng)
+    return _bernoulli(np.atleast_1d(response_probability(params, target, covariates)), rng)

@@ -44,11 +44,7 @@ class PooledEstimate:
 
 def fit_analysis(covariates, target) -> AnalysisFit:
     """OLS of target on an intercept plus the covariates; collinear ones raise RankDeficient."""
-    covariates = np.asarray(covariates, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if covariates.ndim == 1:
-        covariates = covariates[:, None]
-    design = np.column_stack([np.ones(covariates.shape[0]), covariates])
+    design = np.column_stack([np.ones(len(covariates)), covariates])
     fit = ols_fit(design, target)
     variances = fit.residual_variance * np.diag(fit.gram_inverse)
     return AnalysisFit(beta_hat=fit.coefficients, variances=variances, n=fit.n_rows)

@@ -82,7 +82,14 @@ def sample_mvnormal(mean, covariance, rng: RngStream) -> np.ndarray:
         raise DimensionMismatch(f"covariance shape {cov.shape} does not match mean length {p}")
     if not np.allclose(cov, cov.T, rtol=0, atol=1e-8 * max(1.0, float(np.abs(cov).max(initial=0.0)))):
         raise InvalidParameter("covariance must be symmetric")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (cov + cov.T))
+    return _mvnormal(mean, 0.5 * (cov + cov.T), rng)
+
+
+def _mvnormal(mean: np.ndarray, cov: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Kernel of ``sample_mvnormal`` for an exactly symmetric covariance, which
+    its symmetrization leaves unchanged bit for bit."""
+    p = mean.shape[0]
+    eigvals, eigvecs = np.linalg.eigh(cov)
     floor = -1e-8 * max(1.0, float(eigvals.max(initial=0.0)))
     if eigvals.min(initial=0.0) < floor:
         raise InvalidParameter("covariance must be positive semidefinite")
@@ -103,8 +110,15 @@ def sample_scaled_inv_chi2(df: float, scale: float, rng: RngStream, size: int | 
 def sample_bernoulli(p, rng: RngStream):
     """Draw 0/1 with success probability p; exact at p = 0 and p = 1."""
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or np.any(p > 1) or not np.all(np.isfinite(p)):
+    if np.any(p < 0) or np.any(p > 1):
         raise InvalidParameter("p must lie in [0, 1]")
-    u = rng.generator.random(p.shape)
-    out = (u < p).astype(np.int8)
+    out = _bernoulli(p, rng)
     return int(out) if out.ndim == 0 else out
+
+
+def _bernoulli(p: np.ndarray, rng: RngStream) -> np.ndarray:
+    """Kernel of ``sample_bernoulli`` for probabilities in [0, 1] or NaN, the ``expit``
+    of a NaN log-odds, which it rejects rather than silently drawing 0."""
+    if not np.all(np.isfinite(p)):
+        raise InvalidParameter("p must lie in [0, 1]")
+    return (rng.generator.random(p.shape) < p).astype(np.int8)

@@ -153,14 +153,10 @@ def generate_complete_data(
     return x1, np.column_stack([x2, x3])
 
 
-def _float_bits(x: float) -> int:
-    return int(np.float64(x).view(np.uint64))
-
-
 def _scenario_key(config: ScenarioConfig) -> int:
     parts: list[int | str] = [config.mechanism_label, config.n, config.m, config.iterations]
     for value in (*config.beta, config.psi.psi0, config.psi.psi1, *config.psi.psi_z):
-        parts.append(_float_bits(float(value)))
+        parts.append(int(np.float64(value).view(np.uint64)))  # the float's bits
     return mix_stream_id(*parts)
 
 
@@ -270,18 +266,9 @@ def format_result_table(results: list[ScenarioResult], header_lines: tuple[str, 
             summary = result.methods[method]
             for j, true_value in enumerate(truth):
                 lines.append(
-                    ",".join(
-                        [
-                            result.config.mechanism_label,
-                            method,
-                            f"beta{j + 1}",
-                            f"{true_value:.6f}",
-                            f"{summary.mean_estimate[j]:.6f}",
-                            f"{summary.coverage_rate[j]:.4f}",
-                            f"{summary.mc_se[j]:.6f}",
-                            f"{result.mean_missing_fraction:.6f}",
-                        ]
-                    )
+                    f"{result.config.mechanism_label},{method},beta{j + 1},{true_value:.6f},"
+                    f"{summary.mean_estimate[j]:.6f},{summary.coverage_rate[j]:.4f},"
+                    f"{summary.mc_se[j]:.6f},{result.mean_missing_fraction:.6f}"
                 )
     return "\n".join(lines) + "\n"
 

@@ -9,8 +9,10 @@ the draws and the output files bit for bit as they were:
 It covers ``ri_impute`` (n = 9 to 20 000, printing how many sweeps took the
 zero-shift fallback because the pseudo indicator was degenerate or the
 selection-model fit separated; the n = 20 near-separated dataset takes it
-twice), ``mar_impute`` (also on one dataset with its covariates in units of
-1e-6 and 1e5, and with a collinear pair, which prints ``raised
+twice; one more n = 200 line selects on the target alone,
+``nonresponse_columns=()``, while the imputation model keeps both
+covariates), ``mar_impute`` (also on one dataset with its covariates in units
+of 1e-6 and 1e5, and with a collinear pair, which prints ``raised
 RankDeficient``), ``run_scenario`` + ``format_result_table`` for all ten
 builtin scenarios (serially and in two worker processes, which must print the
 same digest), and the files written by the CLI commands ``impute`` (ri, mar
@@ -115,9 +117,7 @@ def library_digests() -> list[str]:
     logger.addHandler(counter)
     logger.propagate = False
     try:
-        cases = [(f"n={n}", mnar_data(3, n), n, (0,)) for n in RI_SIZES]
-        cases.append(("n=20 near-separated", near_separated_data(), 1, None))
-        for label, data, seed, columns in cases:
+        def ri_line(label, data, seed, columns):
             before = counter.count
             try:
                 completions = ri_impute(data, RiConfig(iterations=10, num_imputations=5, seed=seed),
@@ -126,8 +126,15 @@ def library_digests() -> list[str]:
             except RiImputeError as exc:  # a failure is an outcome to compare too
                 digest = f"raised {type(exc).__name__}: {exc}"
             lines.append(f"ri_impute {label} fallback_sweeps={counter.count - before} {digest}")
+
+        cases = [(f"n={n}", mnar_data(3, n), n, (0,)) for n in RI_SIZES]
+        cases.append(("n=20 near-separated", near_separated_data(), 1, None))
+        for label, data, seed, columns in cases:
+            ri_line(label, data, seed, columns)
             completions = mar_impute(data, 5, RngStream(data.n, 1))
             lines.append(f"mar_impute {label} {_sha(*completions)}")
+        # selection on the target alone while the imputation model keeps both covariates
+        ri_line("n=200 selection-on-target-only", mnar_data(3, 200), 200, ())
     finally:
         logger.removeHandler(counter)
         logger.propagate = True

@@ -13,6 +13,7 @@ from riimpute import (
     NonresponseParams,
     RiConfig,
     RngStream,
+    Separation,
     TooFewRows,
     complete_case,
     draw_psi_posterior,
@@ -21,9 +22,11 @@ from riimpute import (
     impute_given_rdot,
     logistic_fit,
     mar_impute,
+    mix_stream_id,
     ri_impute,
     rubin_pool,
     fit_analysis,
+    sample_bernoulli,
     sample_mvnormal,
 )
 
@@ -415,16 +418,117 @@ def test_ri_warm_started_fits_give_the_cold_start_draws(monkeypatch, caplog, cas
         return completions, [record.getMessage() for record in caplog.records]
 
     warm, warm_messages = run()
-    fit = imputation.logistic_fit
-    monkeypatch.setattr(imputation, "logistic_fit",
-                        lambda design, indicator, start=None: fit(design, indicator))
+    fit = imputation._logistic
+    calls = []
+
+    def cold_fit(design, response, start):
+        calls.append(start)
+        return fit(design, response, np.zeros_like(start))
+
+    monkeypatch.setattr(imputation, "_logistic", cold_fit)
     cold, cold_messages = run()
 
+    assert any(start.any() for start in calls)
     assert len(warm) == len(cold)
     assert all(np.array_equal(a, b) for a, b in zip(warm, cold))
     assert warm_messages == cold_messages
     if case == "near_separated":
         assert any("zero shift" in message for message in warm_messages)
+
+
+SEPARATED = "selection model separated; sweep uses zero shift"
+DEGENERATE = "pseudo indicator degenerate after 5 redraws; sweep uses zero shift"
+
+
+def _reference_chains(data, config, columns):
+    """ri_impute built only from the public steps: completions, warnings, rdot redraws."""
+    z_nr = data.covariates[:, list(columns)]
+    obs = data.observed_mask
+    completions, messages, redraws = [], [], 0
+    for chain in range(config.num_imputations):
+        rng = RngStream(config.seed, mix_stream_id("ri-chain", chain))
+        completed = data.target.copy()
+        completed[~obs] = rng.generator.choice(data.target[obs], size=data.n_missing, replace=True)
+        psi = None
+        for _ in range(config.iterations):
+            try:
+                psi = draw_psi_posterior(completed, z_nr, obs.astype(np.int8), rng, start=psi)
+            except Separation:
+                messages.append(SEPARATED)
+                completed = mar_impute(data, 1, rng)[0]
+                continue
+            for _ in range(imputation.MAX_RDOT_REDRAWS + 1):
+                rdot = generate_missingness(completed, z_nr, psi, rng)
+                try:
+                    completed = impute_given_rdot(data, rdot, rng)
+                    break
+                except DegenerateRdot:
+                    redraws += 1
+            else:
+                messages.append(DEGENERATE)
+                completed = mar_impute(data, 1, rng)[0]
+        completions.append(completed)
+    return completions, messages, redraws
+
+
+def _redrawing_dataset():
+    # 30 rows, 3 missing, response almost certain for all but the lowest
+    # targets: the pseudo indicator is often constant among the observed rows
+    gen = np.random.default_rng([0, 30])
+    x = 3.0 * gen.standard_normal(30)
+    observed = gen.random(30) < 1.0 / (1.0 + np.exp(-3.0 - x))
+    observed[:3] = True
+    observed[-1] = False
+    return IncompleteDataset(np.where(observed, x, np.nan), gen.standard_normal((30, 1)))
+
+
+@pytest.mark.parametrize("case", ["mnar", "target_only", "near_separated", "redraws"])
+def test_ri_impute_is_the_chain_of_public_steps(caplog, case):
+    data, columns, config = {
+        "mnar": (_mnar_dataset(52, n=200)[0], (0, 1), RiConfig(iterations=6, num_imputations=3, seed=8)),
+        "target_only": (_mnar_dataset(52, n=200)[0], (), RiConfig(iterations=6, num_imputations=3, seed=8)),
+        "near_separated": (_near_separated_dataset(), (0,), RiConfig(iterations=10, num_imputations=5, seed=15)),
+        "redraws": (_redrawing_dataset(), (0,), RiConfig(iterations=8, num_imputations=3, seed=0)),
+    }[case]
+    expected, expected_messages, redraws = _reference_chains(data, config, columns)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="riimpute.imputation"):
+        completions = ri_impute(data, config, nonresponse_columns=columns)
+    messages = [record.getMessage() for record in caplog.records]
+
+    assert len(completions) == len(expected)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(completions, expected))
+    assert messages == expected_messages
+    if case == "near_separated":
+        assert SEPARATED in messages
+    if case == "redraws":
+        assert redraws > 0 and SEPARATED in messages and DEGENERATE in messages
+
+
+@pytest.mark.parametrize("columns", [(5,), (2,), (1.0,), (-1,), (0, 0), (True,), ("0",)])
+def test_ri_rejects_bad_nonresponse_columns(columns):
+    data = _mnar_dataset(53, n=60)[0]
+    with pytest.raises(InvalidParameter, match="nonresponse column"):
+        ri_impute(data, RiConfig(iterations=1, num_imputations=1), nonresponse_columns=columns)
+
+
+def test_draw_psi_posterior_still_checks_its_arguments(rng):
+    # ri_impute's sweeps skip these checks; the public step keeps them
+    data = _mnar_dataset(54, n=60)[0]
+    x = np.where(data.observed_mask, data.target, 0.0)
+    r = data.observed_mask.astype(np.int8)
+    with pytest.raises(InvalidParameter, match="0s and 1s"):
+        draw_psi_posterior(x, data.covariates, np.where(r == 1, 2, 0), rng)
+    with pytest.raises(DimensionMismatch, match="start"):
+        draw_psi_posterior(x, data.covariates, r, rng, start=NonresponseParams(0.0, 0.0, [0.0]))
+
+
+def test_nan_response_probabilities_raise(rng):
+    # expit of a NaN log-odds is NaN, which would otherwise draw 0
+    with pytest.raises(InvalidParameter):
+        generate_missingness(np.array([0.0, np.nan]), None, NonresponseParams(0.0, 1.0), rng)
+    with pytest.raises(InvalidParameter):
+        sample_bernoulli(np.array([0.5, np.nan]), rng)
 
 
 def test_ri_deterministic_given_seed():
