@@ -22,8 +22,8 @@ import json
 import math
 import os
 import sys
+from array import array
 from dataclasses import dataclass, replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -115,54 +115,53 @@ def _resolve_seed(value: int | None) -> int:
 # CSV handling: comma separated, one header row, '.' decimal separator, UTF-8.
 # Missing cells read as empty field or literal NA and written as empty fields;
 # cells that parse to a non-finite float (inf, nan, ...) are rejected. Cells are
-# written with %.17g, so a written file reads back bit for bit. Error messages
-# give the physical line, comment and blank lines included.
+# written with %.17g, so a written file reads back bit for bit. The reader makes
+# one pass and holds 8 bytes per cell. The first fault in the file raises at once,
+# naming the physical line its row ends on: comment, blank and multi-line quoted
+# lines count.
 
 
 def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
+    header = None
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = [row for row in csv.reader(handle) if row and not row[0].startswith("#")]
+            reader = csv.reader(handle)
+            for row in reader:
+                if not row or row[0].startswith("#"):
+                    continue
+                if header is None:
+                    header = [name.strip() for name in row]
+                    if len(set(header)) != len(header):
+                        raise CliInputError(f"{path}: duplicate column names in header")
+                    columns = [array("d") for _ in header]
+                    continue
+                if len(row) != len(header):
+                    raise CliInputError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                    )
+                for column, cell in zip(columns, row):
+                    cell = cell.strip()
+                    if cell == "" or cell == "NA":
+                        column.append(math.nan)
+                        continue
+                    try:
+                        value = float(cell)
+                    except ValueError as exc:
+                        raise CliInputError(
+                            f"{path}:{reader.line_num}: non-numeric value {cell!r}"
+                        ) from exc
+                    if not math.isfinite(value):
+                        raise CliInputError(f"{path}:{reader.line_num}: non-finite value {cell!r}")
+                    column.append(value)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliInputError(
             f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})"
         ) from exc
-    if not rows:
+    if header is None:
         raise CliInputError(f"{path}: empty file")
-    header = [name.strip() for name in rows[0]]
-    if len(set(header)) != len(header):
-        raise CliInputError(f"{path}: duplicate column names in header")
-    data = {name: np.empty(len(rows) - 1) for name in header}
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise CliInputError(f"{_where(path, i)}: expected {len(header)} fields, got {len(row)}")
-        for name, cell in zip(header, row):
-            cell = cell.strip()
-            if cell == "" or cell == "NA":
-                data[name][i - 1] = np.nan
-                continue
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise CliInputError(f"{_where(path, i)}: non-numeric value {cell!r}") from exc
-            if not math.isfinite(value):
-                raise CliInputError(f"{_where(path, i)}: non-finite value {cell!r}")
-            data[name][i - 1] = value
-    return header, data
-
-
-def _where(path: Path, index: int) -> str:
-    """``path:line`` for ``read_csv_columns``'s row ``index`` (0 = header).
-
-    The line is the physical line the row ends on. It is found by reading the
-    file again, so only an error message pays for it.
-    """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        kept = (reader.line_num for row in reader if row and not row[0].startswith("#"))
-        return f"{path}:{next(islice(kept, index, None))}"
+    return header, {name: np.frombuffer(column) for name, column in zip(header, columns)}
 
 
 # rows joined per write: bounds the text held at once to a few hundred kB

@@ -327,8 +327,8 @@ def _scenario_keys(path) -> dict[str, str]:
         ) from exc
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise InvalidParameter(f"{path}:{lineno}: expected 'key = value', got {line!r}")
@@ -347,8 +347,8 @@ def parse_scenario_file(path) -> ScenarioConfig:
 
     Recognised keys: mechanism, beta (set name or three numbers), psi (three
     numbers), n, replications, m, iterations, seed. Omitted beta/psi fall back
-    to the builtin values for the mechanism, an omitted seed to 0. Lines
-    starting with '#' are comments.
+    to the builtin values for the mechanism, an omitted seed to 0. A '#'
+    starts a comment anywhere on a line.
     """
     raw = _scenario_keys(path)
     if "mechanism" not in raw:

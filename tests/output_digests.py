@@ -25,6 +25,12 @@ column ``x4`` that is no covariate, so ``impute`` copies its empty cells and edg
 (-0.0, a subnormal, the largest float) through the CSV writer. It uses only
 names that are public in every version of the package and draws its data with
 numpy directly. Takes about 13 s on a two-core machine.
+
+After the ``all`` line, which they do not enter (so that line compares with
+checkouts that lack them), come two lines for the CSV reader: the digest of
+the columns ``read_csv_columns`` returns for a file with comment and blank
+lines, ``NA`` and empty cells, padded and quoted cells and edge values, and
+the digest of its messages, path removed, for three faulty files.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from riimpute import (
     ri_impute,
     run_scenario,
 )
-from riimpute.cli import main
+from riimpute.cli import main, read_csv_columns
 
 RI_SIZES = (9, 12, 15, 30, 100, 1000, 20_000)
 SCENARIO_N = 1000
@@ -230,10 +236,48 @@ def cli_digests() -> list[str]:
     return lines
 
 
+READER_INPUT = (
+    "# a comment line, then a blank one\n"
+    "\n"
+    'a, b ,"c"\n'
+    "1.5,NA,\n"
+    ' -0.0 , 5e-324 ,"1.7976931348623157e308"\n'
+    "# between rows\n"
+    "1_000,,  NA\n"
+    '"\n 2.25\n",-1e-300, 7\n'
+)
+READER_FAULTS = (
+    "x,y\n1,2\n3,abc\n",
+    'x,y\n# c\n\n1,"2\n"\n3,4,5\n',  # a multi-line quoted cell, then a row of 3 fields
+    "x,y\n\n1,-inf\n",
+)
+
+
+def reader_digests() -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.csv"
+        path.write_bytes(READER_INPUT.encode())
+        header, columns = read_csv_columns(path)
+        lines = [f"read_csv_columns {','.join(header)} {_sha(*(columns[name] for name in header))}"]
+        messages = []
+        for text in READER_FAULTS:
+            path.write_bytes(text.encode())
+            try:
+                read_csv_columns(path)
+                messages.append("accepted")
+            except RiImputeError as exc:
+                messages.append(str(exc).replace(str(path), "<path>"))
+    digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
+    lines.append(f"read_csv_columns faults={len(messages)} {digest}")
+    return lines
+
+
 if __name__ == "__main__":
     all_lines = library_digests() + cli_digests()
     for line in all_lines:
         print(line)
     total = hashlib.sha256("\n".join(all_lines).encode()).hexdigest()
     print(f"all {total}")
+    for line in reader_digests():
+        print(line)
     sys.exit(0)

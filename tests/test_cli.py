@@ -181,6 +181,68 @@ def test_non_utf8_csv_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.glob("out*")) == []
 
 
+# the reader's own exits, plus a header-only file, which reads as zero rows;
+# the line of a row is the physical line it ends on
+TWO_FAULTS = b"y,z\n1,zz\n" + b"".join(b"%d,%d\n" % (i, i) for i in range(3000)) + b"\xff\n"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"", "{path}: empty file"),
+    (b"# one\n\n# two\n", "{path}: empty file"),
+    (b"y,z, y\n1,2,3\n", "{path}: duplicate column names in header"),
+    (b"# c\ny,z\n", "TooFewRows: model with 2 parameters needs at least 4 observed rows, got 0"),
+    (b'# c\ny,z\n1,"2\n\n"\n3,4,5\n', "{path}:6: expected 2 fields, got 3"),
+    # the first fault in file order wins over a UTF-8 fault past the first decoded chunk
+    (TWO_FAULTS, "{path}:2: non-numeric value 'zz'"),
+], ids=["empty", "comments-only", "duplicate-header", "header-only",
+        "fields-after-multi-line-cell", "first-fault-wins"])
+def test_reader_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "in.csv"
+    path.write_bytes(content)
+    assert main(["impute", str(path), "--target", "y", "--covariates", "z", "--method", "cc",
+                 "--seed", "1", "--output-prefix", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("env, argv, message", [
+    ("abc", ["impute", "{data}", "--target", "y", "--covariates", "z", "--method", "mar",
+             "--output-prefix", "{out}"], "RIIMPUTE_SEED must be an integer, got 'abc'"),
+    (None, ["density", "{data}", "--column", "y", "--labels", "a,b", "--output", "{out}.csv"],
+     "need exactly one label per input file"),
+    (None, ["density", "{data}", "--column", "y", "--only-missing-from", "{short}",
+            "--output", "{out}.csv"], "--only-missing-from file must have the same row count"),
+    (None, ["impute", "{data}", "--target", "w", "--covariates", "z", "--output-prefix", "{out}"],
+     "{data}: missing columns ['w']; available: ['y', 'z']"),
+    (None, ["impute", "{holes}", "--target", "y", "--covariates", "z", "--output-prefix", "{out}"],
+     "{holes}: covariates contain missing cells"),
+    (None, ["simulate", "--scenario-file", "{no_mechanism}", "--output", "{out}.csv"],
+     "InvalidParameter: scenario file must set 'mechanism'"),
+    (None, ["simulate", "--scenario-file", "{no_equals}", "--output", "{out}.csv"],
+     "InvalidParameter: {no_equals}:2: expected 'key = value', got 'replications 2'"),
+], ids=["seed-env", "label-count", "only-missing-from-rows", "unknown-target",
+        "covariate-holes", "scenario-mechanism", "scenario-equals"])
+def test_input_exits_2(tmp_path, capsys, monkeypatch, env, argv, message):
+    files = {
+        "data": "y,z\n1,0.5\n,1.5\n3,2.5\n4,3.5\n5,4\n",
+        "short": "y,z\n1,0.5\n,1.5\n",
+        "holes": "y,z\n1,0.5\n,1.5\n3,\n4,3.5\n5,4\n",
+        "no_mechanism": "n = 100\n",
+        "no_equals": "mechanism = mcar\nreplications 2\n",
+    }
+    names = {"out": tmp_path / "out"}
+    for name, text in files.items():
+        names[name] = tmp_path / name
+        names[name].write_text(text, encoding="utf-8")
+    if env is None:
+        monkeypatch.delenv("RIIMPUTE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("RIIMPUTE_SEED", env)
+    assert main([arg.format(**names) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
+    assert list(tmp_path.glob("out*")) == []
+
+
 def test_impute_single_imputation_writes_no_pooled_json(tmp_path, capsys):
     csv_path = tmp_path / "data.csv"
     mnar_csv(csv_path, n=300)

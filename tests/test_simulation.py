@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,6 +288,21 @@ def test_parse_scenario_file_roundtrip(tmp_path):
     assert config.psi.psi1 == 1.5
     assert (config.n, config.replications, config.m, config.iterations) == (400, 7, 4, 6)
     assert config.master_seed == 99
+
+
+def test_readme_scenario_file_example_parses(tmp_path):
+    # the fenced block under "simulate --scenario-file FILE", trailing comments and all
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    after = readme.split("`simulate --scenario-file FILE`", 1)[1]
+    block = after.split("```\n", 2)[1]
+    path = tmp_path / "scenario.txt"
+    path.write_text(block, encoding="utf-8")
+    config = parse_scenario_file(path)
+    assert config.mechanism_label == "mnar3"
+    assert config.beta == BETA_SETTINGS["strong"]
+    assert (config.psi.psi0, config.psi.psi1, list(config.psi.psi_z)) == (-2.0, 1.5, [0.0])
+    assert (config.n, config.replications, config.m, config.iterations) == (1000, 200, 5, 10)
+    assert config.master_seed == 7
 
 
 def test_parse_scenario_file_custom_psi(tmp_path):
