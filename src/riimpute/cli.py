@@ -4,13 +4,13 @@ Three subcommands: ``impute`` completes a CSV with a chosen method, ``simulate``
 runs a Monte Carlo scenario and writes the results table, ``density`` writes
 kernel density curves for plotting elsewhere.
 
-Exit codes: 0 on success, 2 for unusable input (parse failures, missing or
-repeated columns, too few rows), 3 for statistical failure (any other library
-error: rank deficiency, non-convergence, degenerate samples, too many failed
-replications). ``impute`` computes every estimate before it writes its first
-file, so a failure leaves no output. Output files are byte-identical across
-runs with the same command line and seed; each carries comment lines citing
-the command, seed, package version and an input content digest.
+Exit codes: 0 on success, 2 for unusable input (parse failures, a file with no
+data rows, missing or repeated columns, too few rows), 3 for statistical
+failure (any other library error: rank deficiency, degenerate samples, too
+many failed replications). ``impute`` computes every estimate before it writes
+its first file, so a failure leaves no output. Output files are byte-identical
+across runs with the same command line and seed; each carries comment lines
+citing the command, seed, package version and an input content digest.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from .imputation import IncompleteDataset, RiConfig, complete_case, mar_impute, 
 from .pooling import fit_analysis, rubin_pool, single_fit_estimate
 from .rng import RngStream, mix_stream_id
 from .simulation import (
+    BETA_SETTINGS,
+    NONRESPONSE_SETTINGS,
     _scenario_keys,
     builtin_scenario,
     density_summary,
@@ -118,7 +120,7 @@ def _resolve_seed(value: int | None) -> int:
 # written with %.17g, so a written file reads back bit for bit. The reader makes
 # one pass and holds 8 bytes per cell. The first fault in the file raises at once,
 # naming the physical line its row ends on: comment, blank and multi-line quoted
-# lines count.
+# lines count. A file with a header but no data rows is refused after the pass.
 
 
 def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
@@ -161,6 +163,8 @@ def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
         ) from exc
     if header is None:
         raise CliInputError(f"{path}: empty file")
+    if not columns[0]:
+        raise CliInputError(f"{path}: no data rows")
     return header, {name: np.frombuffer(column) for name, column in zip(header, columns)}
 
 
@@ -260,9 +264,6 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
         keep = dataset.observed_mask
         outputs = {"cc": {name: data[name][keep] for name in header}}
     else:
-        if dataset.n_missing == 0:
-            print("warning: target column has no missing cells; copies will be identical",
-                  file=sys.stderr)
         rng = RngStream(seed, mix_stream_id("cli-impute"))
         if args.method == "mar":
             completions = mar_impute(dataset, args.m, rng)
@@ -428,9 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario")
     group = p_sim.add_mutually_exclusive_group(required=True)
-    group.add_argument("--scenario", choices=sorted(("mcar", "mar", "mnar1", "mnar2", "mnar3")))
+    group.add_argument("--scenario", choices=sorted(NONRESPONSE_SETTINGS))
     group.add_argument("--scenario-file")
-    p_sim.add_argument("--beta", choices=("strong", "moderate"), default="strong")
+    p_sim.add_argument("--beta", choices=tuple(BETA_SETTINGS), default="strong")
     p_sim.add_argument("-n", type=int, default=1000)
     p_sim.add_argument("--replications", type=int, default=200)
     p_sim.add_argument("-m", type=int, default=5)

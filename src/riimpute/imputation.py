@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateRdot, DimensionMismatch, InvalidParameter, Separation, TooFewRows
+from .errors import (DegenerateRdot, DimensionMismatch, InvalidParameter, NonConvergence,
+                     Separation, TooFewRows)
 from .fitters import LinearFit, _logistic, _ols, logistic_fit
 from .mechanism import NonresponseParams, _probability
 from .rng import RngStream, _bernoulli, _mvnormal, mix_stream_id, sample_scaled_inv_chi2
@@ -102,8 +103,6 @@ class IncompleteDataset:
     def require_imputable(self) -> None:
         if self.n_observed < 2:
             raise TooFewRows("imputation needs at least 2 observed target values")
-        if self.n_missing < 1:
-            raise TooFewRows("nothing to impute: target has no missing values")
 
     def require_fittable(self, n_params: int) -> None:
         if self.n_observed < n_params + 2:
@@ -250,8 +249,9 @@ def ri_impute(
     repeated index raises InvalidParameter. If the drawn pseudo indicator is
     constant among observed rows it is redrawn up to ``MAX_RDOT_REDRAWS``
     times, after which the sweep falls back to an unshifted imputation and
-    logs a warning. A sweep whose selection-model fit separates takes the
-    same fallback and warning. Within a chain, each selection-model fit
+    logs a warning. A sweep whose selection-model fit separates or does not
+    converge takes the same fallback, with a warning naming which (a
+    rank-deficient fit raises). Within a chain, each selection-model fit
     starts from the chain's latest coefficient draw; the first starts at zero.
 
     The sweeps run the kernels of the public steps without their argument
@@ -271,7 +271,7 @@ def ri_impute(
     data.require_imputable()
     z_nr = data.covariates[:, cols]
     obs = data.observed_mask
-    # 0s and 1s both occur (require_imputable); as floats, not cast in every IRLS product
+    # 0s and 1s both occur (the return above, require_imputable); floats: no cast per IRLS product
     response = obs.astype(float)
     # built once; each sweep overwrites the target column and the rdot - 1 column
     selection_design = np.column_stack([np.ones(data.n), data.target, z_nr])
@@ -288,8 +288,9 @@ def ri_impute(
             selection_design[:, 1] = completed
             try:
                 fit = _logistic(selection_design, response, psi_dot)
-            except Separation:
-                logger.warning("selection model separated; sweep uses zero shift")
+            except (Separation, NonConvergence) as exc:
+                logger.warning("selection model %s; sweep uses zero shift",
+                               "separated" if isinstance(exc, Separation) else "did not converge")
                 completed = _impute_draw(data, _mar_fit(data), rng)
                 continue
             psi_dot = _mvnormal(fit.coefficients, fit.covariance, rng)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DimensionMismatch, InvalidParameter
-from .rng import RngStream, _bernoulli
+from .rng import RngStream, sample_bernoulli
 
 
 @dataclass(frozen=True)
@@ -78,4 +78,4 @@ def generate_missingness(
 
     Returns an int8 vector, 1 where the target value is observed.
     """
-    return _bernoulli(np.atleast_1d(response_probability(params, target, covariates)), rng)
+    return sample_bernoulli(np.atleast_1d(response_probability(params, target, covariates)), rng)

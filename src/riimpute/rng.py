@@ -110,15 +110,12 @@ def sample_scaled_inv_chi2(df: float, scale: float, rng: RngStream, size: int | 
 def sample_bernoulli(p, rng: RngStream):
     """Draw 0/1 with success probability p; exact at p = 0 and p = 1."""
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0) or np.any(p > 1):
+    if not np.all((p >= 0) & (p <= 1)):  # NaN fails both, so it is not drawn as 0
         raise InvalidParameter("p must lie in [0, 1]")
     out = _bernoulli(p, rng)
     return int(out) if out.ndim == 0 else out
 
 
 def _bernoulli(p: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Kernel of ``sample_bernoulli`` for probabilities in [0, 1] or NaN, the ``expit``
-    of a NaN log-odds, which it rejects rather than silently drawing 0."""
-    if not np.all(np.isfinite(p)):
-        raise InvalidParameter("p must lie in [0, 1]")
+    """Kernel of ``sample_bernoulli`` for probabilities in [0, 1]."""
     return (rng.generator.random(p.shape) < p).astype(np.int8)

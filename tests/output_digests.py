@@ -30,7 +30,12 @@ After the ``all`` line, which they do not enter (so that line compares with
 checkouts that lack them), come two lines for the CSV reader: the digest of
 the columns ``read_csv_columns`` returns for a file with comment and blank
 lines, ``NA`` and empty cells, padded and quoted cells and edge values, and
-the digest of its messages, path removed, for three faulty files.
+the digest of its messages, path removed, for three faulty files. Then come
+the lines of the failure rules: ``ri_impute`` on the test suite's perfectly
+separated 60-row data (drawn from ``RngStream(8, 0)``), where no selection fit
+converges and every sweep takes the zero-shift fallback, and the exit code and
+stderr of ``impute`` (ri, mar and cc) and ``density`` (as input and as
+``--only-missing-from``) on a file with a header and no data rows.
 """
 
 from __future__ import annotations
@@ -116,23 +121,36 @@ class _FallbackCounter(logging.Handler):
             self.count += 1
 
 
-def library_digests() -> list[str]:
-    lines = []
+@contextlib.contextmanager
+def _ri_lines(lines: list[str]):
+    """Yield ``ri_line(label, data, seed, columns)``, which appends one ``ri_impute`` line
+    to ``lines``: its fallback sweeps, counted from the imputer's warnings, and the
+    digest of its completions or the error it raised."""
     counter = _FallbackCounter()
     logger = logging.getLogger("riimpute.imputation")
     logger.addHandler(counter)
     logger.propagate = False
-    try:
-        def ri_line(label, data, seed, columns):
-            before = counter.count
-            try:
-                completions = ri_impute(data, RiConfig(iterations=10, num_imputations=5, seed=seed),
-                                        nonresponse_columns=columns)
-                digest = _sha(*completions)
-            except RiImputeError as exc:  # a failure is an outcome to compare too
-                digest = f"raised {type(exc).__name__}: {exc}"
-            lines.append(f"ri_impute {label} fallback_sweeps={counter.count - before} {digest}")
 
+    def ri_line(label, data, seed, columns):
+        before = counter.count
+        try:
+            completions = ri_impute(data, RiConfig(iterations=10, num_imputations=5, seed=seed),
+                                    nonresponse_columns=columns)
+            digest = _sha(*completions)
+        except RiImputeError as exc:  # a failure is an outcome to compare too
+            digest = f"raised {type(exc).__name__}: {exc}"
+        lines.append(f"ri_impute {label} fallback_sweeps={counter.count - before} {digest}")
+
+    try:
+        yield ri_line
+    finally:
+        logger.removeHandler(counter)
+        logger.propagate = True
+
+
+def library_digests() -> list[str]:
+    lines = []
+    with _ri_lines(lines) as ri_line:
         cases = [(f"n={n}", mnar_data(3, n), n, (0,)) for n in RI_SIZES]
         cases.append(("n=20 near-separated", near_separated_data(), 1, None))
         for label, data, seed, columns in cases:
@@ -141,9 +159,6 @@ def library_digests() -> list[str]:
             lines.append(f"mar_impute {label} {_sha(*completions)}")
         # selection on the target alone while the imputation model keeps both covariates
         ri_line("n=200 selection-on-target-only", mnar_data(3, 200), 200, ())
-    finally:
-        logger.removeHandler(counter)
-        logger.propagate = True
 
     # the same data with its covariates in other units, and with a collinear pair
     base = mnar_data(3, 200)
@@ -272,12 +287,48 @@ def reader_digests() -> list[str]:
     return lines
 
 
+def separated_data() -> IncompleteDataset:
+    """The test suite's 60 rows whose response is perfectly separated by the covariate."""
+    gen = RngStream(8, 0).generator
+    z = np.r_[gen.normal(-4, 0.3, 30), gen.normal(4, 0.3, 30)]
+    target = 1.0 + 0.1 * z + gen.standard_normal(60)
+    target[:30] = np.nan
+    return IncompleteDataset(target, z[:, None])
+
+
+def failure_rule_lines() -> list[str]:
+    """``ri_impute`` on ``separated_data``, whose selection fits never converge, and
+    each command's exit code and stderr, path removed, on a file with no data rows."""
+    lines = []
+    with _ri_lines(lines) as ri_line:
+        ri_line("n=60 separated", separated_data(), 1, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        data, no_rows, out = (str(Path(tmp) / name) for name in ("data.csv", "no_rows.csv", "out"))
+        Path(data).write_text("y,z\n1,0.5\n,1.5\n3,2.5\n4,3.5\n5,4\n", encoding="utf-8")
+        Path(no_rows).write_text("# c\ny,z\n", encoding="utf-8")
+        commands = {
+            f"impute --method {method}": ["impute", no_rows, "--target", "y", "--covariates", "z",
+                                          "--method", method, "--output-prefix", out]
+            for method in ("ri", "mar", "cc")
+        }
+        commands["density"] = ["density", no_rows, "--column", "y", "--output", out]
+        commands["density --only-missing-from"] = ["density", data, "--column", "y",
+                                                   "--only-missing-from", no_rows, "--output", out]
+        for label, argv in commands.items():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            text = " | ".join(err.getvalue().replace(tmp, "<dir>").splitlines())
+            lines.append(f"cli no-data-rows {label} exit={code} {text}")
+    return lines
+
+
 if __name__ == "__main__":
     all_lines = library_digests() + cli_digests()
     for line in all_lines:
         print(line)
     total = hashlib.sha256("\n".join(all_lines).encode()).hexdigest()
     print(f"all {total}")
-    for line in reader_digests():
+    for line in reader_digests() + failure_rule_lines():
         print(line)
     sys.exit(0)

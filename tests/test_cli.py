@@ -1,11 +1,20 @@
+import contextlib
+import io
 import json
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from riimpute import NonresponseParams, RngStream, generate_missingness
-from riimpute.cli import main, read_csv_columns
+from riimpute import (
+    BETA_SETTINGS,
+    NONRESPONSE_SETTINGS,
+    NonresponseParams,
+    RngStream,
+    generate_missingness,
+)
+from riimpute.cli import build_parser, main, read_csv_columns
 
 
 def write_csv(path, header, columns):
@@ -63,20 +72,23 @@ def test_impute_roundtrip_and_pooled_json(tmp_path):
     assert payload["run"]["seed"] == 11
 
 
-def test_impute_no_missing_emits_warning_and_identical_copies(tmp_path, capsys):
+def test_impute_no_missing_emits_warning_and_identical_copies(tmp_path, capsys, caplog):
     csv_path = tmp_path / "full.csv"
     gen = RngStream(6, 0).generator
     z = gen.normal(0, 1, 50)
     x = 1.0 + z + gen.standard_normal(50)
     write_csv(csv_path, ["y", "z"], {"y": x, "z": z})
-    code = main([
-        "impute", str(csv_path), "--target", "y", "--covariates", "z",
-        "--method", "ri", "-m", "2", "--seed", "3",
-        "--output-prefix", str(tmp_path / "full_out"),
-    ])
+    with caplog.at_level(logging.WARNING, logger="riimpute.imputation"):
+        code = main([
+            "impute", str(csv_path), "--target", "y", "--covariates", "z",
+            "--method", "ri", "-m", "2", "--seed", "3",
+            "--output-prefix", str(tmp_path / "full_out"),
+        ])
     assert code == 0
-    err = capsys.readouterr().err
-    assert "no missing" in err
+    # the imputer's warning is the only one; the command prints none of its own
+    assert [record.getMessage() for record in caplog.records] == [
+        "target has no missing values; returning 2 identical copies"]
+    assert "warning" not in capsys.readouterr().err
     _, c1 = read_csv_columns(tmp_path / "full_out_imp1.csv")
     _, c2 = read_csv_columns(tmp_path / "full_out_imp2.csv")
     assert np.array_equal(c1["y"], c2["y"])
@@ -181,8 +193,7 @@ def test_non_utf8_csv_exits_2(tmp_path, capsys, argv):
     assert list(tmp_path.glob("out*")) == []
 
 
-# the reader's own exits, plus a header-only file, which reads as zero rows;
-# the line of a row is the physical line it ends on
+# the reader's own exits; the line of a row is the physical line it ends on
 TWO_FAULTS = b"y,z\n1,zz\n" + b"".join(b"%d,%d\n" % (i, i) for i in range(3000)) + b"\xff\n"
 
 
@@ -190,7 +201,7 @@ TWO_FAULTS = b"y,z\n1,zz\n" + b"".join(b"%d,%d\n" % (i, i) for i in range(3000))
     (b"", "{path}: empty file"),
     (b"# one\n\n# two\n", "{path}: empty file"),
     (b"y,z, y\n1,2,3\n", "{path}: duplicate column names in header"),
-    (b"# c\ny,z\n", "TooFewRows: model with 2 parameters needs at least 4 observed rows, got 0"),
+    (b"# c\ny,z\n", "{path}: no data rows"),
     (b'# c\ny,z\n1,"2\n\n"\n3,4,5\n', "{path}:6: expected 2 fields, got 3"),
     # the first fault in file order wins over a UTF-8 fault past the first decoded chunk
     (TWO_FAULTS, "{path}:2: non-numeric value 'zz'"),
@@ -220,11 +231,20 @@ def test_reader_exits_2(tmp_path, capsys, content, message):
      "InvalidParameter: scenario file must set 'mechanism'"),
     (None, ["simulate", "--scenario-file", "{no_equals}", "--output", "{out}.csv"],
      "InvalidParameter: {no_equals}:2: expected 'key = value', got 'replications 2'"),
+    # a file with no data rows is refused by the reader, before any warning
+    *[(None, ["impute", "{no_rows}", "--target", "y", "--covariates", "z", "--method", method,
+              "--output-prefix", "{out}"], "{no_rows}: no data rows") for method in ("ri", "mar")],
+    (None, ["density", "{no_rows}", "--column", "y", "--output", "{out}.csv"],
+     "{no_rows}: no data rows"),
+    (None, ["density", "{data}", "--column", "y", "--only-missing-from", "{no_rows}",
+            "--output", "{out}.csv"], "{no_rows}: no data rows"),
 ], ids=["seed-env", "label-count", "only-missing-from-rows", "unknown-target",
-        "covariate-holes", "scenario-mechanism", "scenario-equals"])
-def test_input_exits_2(tmp_path, capsys, monkeypatch, env, argv, message):
+        "covariate-holes", "scenario-mechanism", "scenario-equals", "no-rows-ri", "no-rows-mar",
+        "no-rows-density", "no-rows-only-missing-from"])
+def test_input_exits_2(tmp_path, capsys, caplog, monkeypatch, env, argv, message):
     files = {
         "data": "y,z\n1,0.5\n,1.5\n3,2.5\n4,3.5\n5,4\n",
+        "no_rows": "# c\ny,z\n",
         "short": "y,z\n1,0.5\n,1.5\n",
         "holes": "y,z\n1,0.5\n,1.5\n3,\n4,3.5\n5,4\n",
         "no_mechanism": "n = 100\n",
@@ -238,8 +258,10 @@ def test_input_exits_2(tmp_path, capsys, monkeypatch, env, argv, message):
         monkeypatch.delenv("RIIMPUTE_SEED", raising=False)
     else:
         monkeypatch.setenv("RIIMPUTE_SEED", env)
-    assert main([arg.format(**names) for arg in argv]) == 2
+    with caplog.at_level(logging.WARNING):
+        assert main([arg.format(**names) for arg in argv]) == 2
     assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
+    assert caplog.records == []
     assert list(tmp_path.glob("out*")) == []
 
 
@@ -258,8 +280,10 @@ def test_impute_single_imputation_writes_no_pooled_json(tmp_path, capsys):
         assert "writes no pooled JSON" in capsys.readouterr().err
 
 
-def test_impute_statistical_failure_exits_3(tmp_path):
-    # response indicator perfectly separated by the covariate
+def test_impute_non_converging_selection_fit_falls_back(tmp_path, caplog):
+    # the response indicator is perfectly separated by the covariate: every
+    # sweep's selection fit runs out of iterations and takes the zero-shift
+    # fallback, so the command completes
     csv_path = tmp_path / "sep.csv"
     gen = RngStream(8, 0).generator
     n = 60
@@ -267,11 +291,16 @@ def test_impute_statistical_failure_exits_3(tmp_path):
     y = 1.0 + 0.1 * z + gen.standard_normal(n)
     y[: n // 2] = np.nan
     write_csv(csv_path, ["y", "z"], {"y": y, "z": z})
-    code = main([
-        "impute", str(csv_path), "--target", "y", "--covariates", "z",
-        "--method", "ri", "--seed", "1", "--output-prefix", str(tmp_path / "s"),
-    ])
-    assert code == 3
+    with caplog.at_level(logging.WARNING, logger="riimpute.imputation"):
+        code = main([
+            "impute", str(csv_path), "--target", "y", "--covariates", "z",
+            "--method", "ri", "--seed", "1", "--output-prefix", str(tmp_path / "s"),
+        ])
+    assert code == 0
+    assert [record.getMessage() for record in caplog.records] == [
+        "selection model did not converge; sweep uses zero shift"] * 50
+    assert sorted(path.name for path in tmp_path.glob("s_*")) == [
+        *(f"s_imp{k}.csv" for k in range(1, 6)), "s_pooled.json"]
 
 
 def collinear_csv(path):
@@ -460,6 +489,13 @@ def test_simulate_unknown_scenario_exits_2(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["simulate", "--scenario", "mnar9", "--output", str(tmp_path / "x.csv")])
     assert excinfo.value.code == 2
+
+
+def test_simulate_choices_are_the_settings_tables():
+    simulate = build_parser()._subparsers._group_actions[0].choices["simulate"]
+    choices = {action.dest: action.choices for action in simulate._actions}
+    assert choices["scenario"] == sorted(NONRESPONSE_SETTINGS)
+    assert choices["beta"] == tuple(BETA_SETTINGS)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -665,3 +701,44 @@ def test_density_imputed_group_left_shifted_under_selection(tmp_path):
     dens2 = np.array([float(r[1]) for r in rows2])
     observed_center = np.trapezoid(grid2 * dens2, grid2)
     assert imputed_center < observed_center
+
+
+# ---------------------------------------------------------------------------
+# any small finite input
+
+
+@st.composite
+def small_csvs(draw):
+    """``(covariate names, CSV text)``: 0-12 rows of a target ``y`` and 0-2
+    covariates, finite cells with |v| <= 1e6, some target cells missing."""
+    k = draw(st.integers(0, 2))
+    n = draw(st.integers(0, 12))
+    value = st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+    # a lone empty cell would be a blank line, which the reader skips
+    missing = st.sampled_from(["", "NA"] if k else ["NA"])
+    names = [f"z{j + 1}" for j in range(k)]
+    rows = draw(st.lists(st.tuples(st.one_of(value, missing), st.lists(value, min_size=k,
+                                                                        max_size=k)),
+                         min_size=n, max_size=n))
+    lines = [",".join(["y", *names])] + [",".join([y, *zs]) for y, zs in rows]
+    return names, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_csvs())
+def test_small_inputs_exit_0_2_or_3(tmp_path_factory, csv):
+    names, text = csv
+    tmp = tmp_path_factory.mktemp("small")
+    path = tmp / "in.csv"
+    path.write_text(text, encoding="utf-8")
+    commands = [["impute", str(path), "--target", "y", "--covariates", ",".join(names),
+                 "--method", method, "-m", "2", "--iterations", "2", "--seed", "1",
+                 "--output-prefix", str(tmp / method)] for method in ("ri", "mar", "cc")]
+    commands.append(["density", str(path), "--column", "y", "--output", str(tmp / "d.csv")])
+    for argv in commands:
+        before = sorted(tmp.iterdir())
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert sorted(tmp.iterdir()) == before

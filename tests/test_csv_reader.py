@@ -4,7 +4,8 @@ The generator writes a random finite table with comment lines, blank lines,
 padded cells and quoted cells (some spanning several physical lines) between
 and within its rows, and records the physical line each row ends on. The
 reader must return the table's floats bit for bit, and when one cell is
-corrupted its message must name the recorded line.
+corrupted its message must name the recorded line. A table with no rows is
+refused as having no data rows.
 """
 
 import numpy as np
@@ -72,6 +73,11 @@ def test_reader_values_and_error_lines(tmp_path_factory, table, data):
     path = tmp_path_factory.mktemp("rd") / "in.csv"
     text, ends = render(header, rows, newline)
     path.write_bytes(text.encode())
+    if not rows:
+        with pytest.raises(CliInputError) as excinfo:
+            read_csv_columns(path)
+        assert str(excinfo.value) == f"{path}: no data rows"
+        return
     got_header, columns = read_csv_columns(path)
     assert got_header == header
     for j, name in enumerate(header):
@@ -79,8 +85,6 @@ def test_reader_values_and_error_lines(tmp_path_factory, table, data):
                              for _, cells in rows], dtype=float)
         assert columns[name].tobytes() == expected.tobytes()
 
-    if not rows:
-        return
     i = data.draw(st.integers(0, len(rows) - 1))
     j = data.draw(st.integers(0, len(header) - 1))
     bad = data.draw(st.sampled_from(sorted(BAD_CELLS)))

@@ -10,7 +10,9 @@ from riimpute import (
     DimensionMismatch,
     IncompleteDataset,
     InvalidParameter,
+    NonConvergence,
     NonresponseParams,
+    RankDeficient,
     RiConfig,
     RngStream,
     Separation,
@@ -437,6 +439,7 @@ def test_ri_warm_started_fits_give_the_cold_start_draws(monkeypatch, caplog, cas
 
 
 SEPARATED = "selection model separated; sweep uses zero shift"
+NOT_CONVERGED = "selection model did not converge; sweep uses zero shift"
 DEGENERATE = "pseudo indicator degenerate after 5 redraws; sweep uses zero shift"
 
 
@@ -453,8 +456,8 @@ def _reference_chains(data, config, columns):
         for _ in range(config.iterations):
             try:
                 psi = draw_psi_posterior(completed, z_nr, obs.astype(np.int8), rng, start=psi)
-            except Separation:
-                messages.append(SEPARATED)
+            except (Separation, NonConvergence) as exc:
+                messages.append(SEPARATED if isinstance(exc, Separation) else NOT_CONVERGED)
                 completed = mar_impute(data, 1, rng)[0]
                 continue
             for _ in range(imputation.MAX_RDOT_REDRAWS + 1):
@@ -482,13 +485,24 @@ def _redrawing_dataset():
     return IncompleteDataset(np.where(observed, x, np.nan), gen.standard_normal((30, 1)))
 
 
-@pytest.mark.parametrize("case", ["mnar", "target_only", "near_separated", "redraws"])
+def _separated_dataset():
+    # 60 rows whose response is perfectly separated by the covariate: every
+    # selection fit runs out of iterations before a coefficient passes the cap
+    gen = RngStream(8, 0).generator
+    z = np.r_[gen.normal(-4, 0.3, 30), gen.normal(4, 0.3, 30)]
+    target = 1.0 + 0.1 * z + gen.standard_normal(60)
+    target[:30] = np.nan
+    return IncompleteDataset(target, z[:, None])
+
+
+@pytest.mark.parametrize("case", ["mnar", "target_only", "near_separated", "redraws", "separated"])
 def test_ri_impute_is_the_chain_of_public_steps(caplog, case):
     data, columns, config = {
         "mnar": (_mnar_dataset(52, n=200)[0], (0, 1), RiConfig(iterations=6, num_imputations=3, seed=8)),
         "target_only": (_mnar_dataset(52, n=200)[0], (), RiConfig(iterations=6, num_imputations=3, seed=8)),
         "near_separated": (_near_separated_dataset(), (0,), RiConfig(iterations=10, num_imputations=5, seed=15)),
         "redraws": (_redrawing_dataset(), (0,), RiConfig(iterations=8, num_imputations=3, seed=0)),
+        "separated": (_separated_dataset(), (0,), RiConfig(iterations=10, num_imputations=5, seed=1)),
     }[case]
     expected, expected_messages, redraws = _reference_chains(data, config, columns)
     caplog.clear()
@@ -503,6 +517,23 @@ def test_ri_impute_is_the_chain_of_public_steps(caplog, case):
         assert SEPARATED in messages
     if case == "redraws":
         assert redraws > 0 and SEPARATED in messages and DEGENERATE in messages
+    if case == "separated":
+        assert messages == [NOT_CONVERGED] * 50
+
+
+def test_ri_rank_deficient_selection_fit_aborts(caplog):
+    # b = 2a makes the selection design singular in every sweep, so there is
+    # nothing to fall back from: the first selection fit (its information
+    # matrix, not an OLS Gram matrix) ends the run
+    gen = RngStream(3, 0).generator
+    a = gen.normal(0, 1, 60)
+    target = 1.0 + a + gen.standard_normal(60)
+    target[::4] = np.nan
+    data = IncompleteDataset(target, np.column_stack([a, 2.0 * a]))
+    with caplog.at_level(logging.WARNING, logger="riimpute.imputation"):
+        with pytest.raises(RankDeficient, match="information matrix"):
+            ri_impute(data, RiConfig(iterations=10, num_imputations=5, seed=1))
+    assert caplog.records == []
 
 
 @pytest.mark.parametrize("columns", [(5,), (2,), (1.0,), (-1,), (0, 0), (True,), ("0",)])
