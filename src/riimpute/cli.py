@@ -238,8 +238,6 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
         covariates = np.column_stack([data[name] for name in covariate_names])
     else:
         covariates = np.empty((len(target), 0))
-    if np.isnan(covariates).any():
-        raise CliInputError(f"{path}: covariates contain missing cells")
     # with no covariates the imputation model is intercept-only
     dataset = IncompleteDataset(target, covariates, target_name=args.target,
                                 covariate_names=tuple(covariate_names))

@@ -117,25 +117,39 @@ def _mu_loglik(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
     One ``e = exp(-|eta|)`` of the linear predictor ``eta`` gives both: ``mu``
     is ``1 / (1 + e)`` where eta is non-negative and ``e / (1 + e)``
     elsewhere, and the log likelihood is
-    ``y.eta - sum(max(eta, 0)) - sum(log1p(e))``. Neither overflows.
+    ``y.eta - sum(max(eta, 0)) - sum(log1p(e))``. Neither overflows. Since
+    ``0 <= e <= 1``, ``max(eta >= 0, e)`` picks the numerator without a branch.
     """
     eta = x @ beta
     e = np.exp(-np.abs(eta))
-    mu = np.where(eta >= 0, 1.0, e) / (1.0 + e)
+    mu = np.maximum(eta >= 0, e) / (1.0 + e)
     ll = float(y @ eta - np.maximum(eta, 0.0).sum() - np.log1p(e).sum())
     return mu, ll
 
 
-def _irls(x: np.ndarray, y: np.ndarray, beta: np.ndarray):
+def _information(x: np.ndarray, mu: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """The information matrix ``x' diag(mu (1 - mu)) x`` at fitted probabilities ``mu``.
+
+    The weighted design is written transposed into ``buffer``, shape ``(p, n)``:
+    broadcasting the weights along the rows of a C-order ``(p, n)`` array runs
+    an inner loop of length n, where ``w[:, None] * x`` runs one of length p.
+    The products are the same, and the tests pin that the matrix product sums
+    them to the same bits as ``x.T @ (w[:, None] * x)`` for C-order designs.
+    """
+    np.multiply(x.T, mu * (1.0 - mu), out=buffer)
+    return x.T @ buffer.T
+
+
+def _irls(x: np.ndarray, y: np.ndarray, beta: np.ndarray, buffer: np.ndarray):
     """Newton iterations from ``beta``: ``(beta, mu, iterations, error)``.
 
     ``error`` is the Separation or NonConvergence that stopped the iterations,
-    or None when they converged.
+    or None when they converged. ``buffer`` is ``_information``'s scratch.
     """
     mu, ll = _mu_loglik(x, y, beta)
     grad = x.T @ (y - mu)
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        hessian = x.T @ ((mu * (1.0 - mu))[:, None] * x)
+        hessian = _information(x, mu, buffer)
         try:
             step = np.linalg.solve(hessian, grad)
         except np.linalg.LinAlgError:
@@ -195,13 +209,13 @@ def logistic_fit(design, indicator, start=None) -> LogisticFit:
 
 def _logistic(x: np.ndarray, y: np.ndarray, start: np.ndarray) -> LogisticFit:
     """Kernel of ``logistic_fit`` for arguments that pass its checks."""
-    beta, mu, iterations, error = _irls(x, y, start)
+    buffer = np.empty(x.shape[::-1])
+    beta, mu, iterations, error = _irls(x, y, start, buffer)
     if error is not None and start.any():
-        beta, mu, cold_iterations, error = _irls(x, y, np.zeros_like(start))
+        beta, mu, cold_iterations, error = _irls(x, y, np.zeros_like(start), buffer)
         iterations += cold_iterations
     if error is not None:
         raise error
 
-    info = x.T @ ((mu * (1.0 - mu))[:, None] * x)
-    covariance = _checked_inverse(info, "information matrix")
+    covariance = _checked_inverse(_information(x, mu, buffer), "information matrix")
     return LogisticFit(coefficients=beta, covariance=covariance, iterations=iterations)

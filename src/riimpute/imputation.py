@@ -39,7 +39,10 @@ class IncompleteDataset:
     values are rejected in both. The dataset keeps read-only copies of its
     inputs, so later writes to the caller's arrays do not reach it, and
     splits the rows once: ``observed_mask`` (read-only), the counts, and the
-    ``[1, z]`` designs of the observed and of the missing rows.
+    ``[1, z]`` designs of the observed and of the missing rows. The sweeps
+    gather and scatter by the read-only row indices of the observed and of the
+    missing rows, and read the observed target values from a read-only copy:
+    an index array is about ten times faster than the mask.
     """
 
     target: np.ndarray
@@ -50,6 +53,9 @@ class IncompleteDataset:
     n_observed: int = field(init=False, repr=False, compare=False)
     _observed_design: np.ndarray = field(init=False, repr=False, compare=False)
     _missing_design: np.ndarray = field(init=False, repr=False, compare=False)
+    _observed_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _missing_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _observed_target: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         target = np.array(self.target, dtype=float)
@@ -62,27 +68,35 @@ class IncompleteDataset:
             raise DimensionMismatch(
                 f"covariates have {covariates.shape[0]} rows, target has {target.shape[0]}"
             )
-        if np.isnan(covariates).any():
-            raise InvalidParameter("covariates must be fully observed")
-        if np.isinf(target).any() or np.isinf(covariates).any():
-            raise InvalidParameter("target and covariates must not contain infinite values")
         names = tuple(self.covariate_names) or tuple(
             f"z{i + 1}" for i in range(covariates.shape[1])
         )
         if len(names) != covariates.shape[1]:
             raise DimensionMismatch("one name per covariate column required")
+        holes = np.isnan(covariates).sum(axis=0)
+        if holes.any():
+            first = int(np.flatnonzero(holes)[0])
+            count = int(holes[first])
+            raise InvalidParameter(f"covariates must be fully observed; {names[first]!r} has "
+                                   f"{count} missing cell{'s' * (count != 1)}")
+        if np.isinf(target).any() or np.isinf(covariates).any():
+            raise InvalidParameter("target and covariates must not contain infinite values")
         observed = ~np.isnan(target)
-        designs = [np.column_stack([np.ones(rows.sum()), covariates[rows]])
-                   for rows in (observed, ~observed)]
-        for array in (target, covariates, observed, *designs):
+        rows = np.flatnonzero(observed), np.flatnonzero(~observed)
+        designs = [np.column_stack([np.ones(len(r)), covariates[r]]) for r in rows]
+        observed_target = target[rows[0]]
+        for array in (target, covariates, observed, *rows, *designs, observed_target):
             array.setflags(write=False)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "covariates", covariates)
         object.__setattr__(self, "covariate_names", names)
         object.__setattr__(self, "observed_mask", observed)
-        object.__setattr__(self, "n_observed", int(observed.sum()))
+        object.__setattr__(self, "n_observed", len(rows[0]))
         object.__setattr__(self, "_observed_design", designs[0])
         object.__setattr__(self, "_missing_design", designs[1])
+        object.__setattr__(self, "_observed_rows", rows[0])
+        object.__setattr__(self, "_missing_rows", rows[1])
+        object.__setattr__(self, "_observed_target", observed_target)
 
     def __reduce__(self):
         # rebuild through __post_init__: pickle does not keep numpy's read-only flag
@@ -143,12 +157,12 @@ def estimate_adjustment(data: IncompleteDataset, rdot) -> LinearFit:
 
 def _adjustment_fit(data: IncompleteDataset, rdot: np.ndarray, design: np.ndarray) -> LinearFit:
     """Kernel of ``estimate_adjustment``; it fills ``design``'s last column with rdot - 1."""
-    rdot_obs = rdot[data.observed_mask]
+    rdot_obs = rdot[data._observed_rows]
     if rdot_obs.size == 0 or rdot_obs.min() == rdot_obs.max():
         raise DegenerateRdot("pseudo indicator is constant among observed rows")
     data.require_fittable(data.n_covariates + 2)
     design[:, -1] = rdot_obs - 1.0
-    return _ols(design, data.target[data.observed_mask])
+    return _ols(design, data._observed_target)
 
 
 def _impute_draw(data: IncompleteDataset, fit: LinearFit, rng: RngStream, rdot=None) -> np.ndarray:
@@ -171,7 +185,7 @@ def _impute_draw(data: IncompleteDataset, fit: LinearFit, rng: RngStream, rdot=N
     # exactly symmetric: a scaled leading block of _checked_inverse's output
     phi_dot = _mvnormal(fit.coefficients[phi], sigma2_dot * fit.gram_inverse[phi, phi], rng)
 
-    mis = ~data.observed_mask
+    mis = data._missing_rows
     means = data._missing_design @ phi_dot
     if rdot is not None:
         means = means + float(fit.coefficients[-1]) * (np.asarray(rdot)[mis] - 2.0)
@@ -211,7 +225,7 @@ def draw_psi_posterior(
 
 def _mar_fit(data: IncompleteDataset) -> LinearFit:
     data.require_fittable(data.n_covariates + 1)
-    return _ols(data._observed_design, data.target[data.observed_mask])
+    return _ols(data._observed_design, data._observed_target)
 
 
 def mar_impute(data: IncompleteDataset, m: int, rng: RngStream) -> list[np.ndarray]:
@@ -270,19 +284,18 @@ def ri_impute(
         return [data.target.copy() for _ in range(config.num_imputations)]
     data.require_imputable()
     z_nr = data.covariates[:, cols]
-    obs = data.observed_mask
     # 0s and 1s both occur (the return above, require_imputable); floats: no cast per IRLS product
-    response = obs.astype(float)
+    response = data.observed_mask.astype(float)
     # built once; each sweep overwrites the target column and the rdot - 1 column
     selection_design = np.column_stack([np.ones(data.n), data.target, z_nr])
     adjustment_design = np.column_stack([data._observed_design, np.zeros(data.n_observed)])
 
-    observed_values = data.target[obs]
     results: list[np.ndarray] = []
     for chain in range(config.num_imputations):
         rng = RngStream(config.seed, mix_stream_id("ri-chain", chain))
         completed = data.target.copy()
-        completed[~obs] = rng.generator.choice(observed_values, size=data.n_missing, replace=True)
+        completed[data._missing_rows] = rng.generator.choice(
+            data._observed_target, size=data.n_missing, replace=True)
         psi_dot = np.zeros(selection_design.shape[1])
         for _ in range(config.iterations):
             selection_design[:, 1] = completed

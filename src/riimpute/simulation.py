@@ -306,12 +306,21 @@ def density_summary(values, group_label: str = "") -> DensitySummary:
 
     The grid runs from min - 4h to max + 4h with the plug-in bandwidth h, so
     the trapezoid integral of the curve is 1 to within a tenth of a percent.
+    That needs a grid step no wider than h: a sample whose range is more than
+    about 500 bandwidths (a few far outliers around a tight bulk) raises
+    DegenerateSample instead.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size < 2 or np.unique(values).size < 2:
         raise DegenerateSample("density needs at least two distinct values")
     h = silverman_bandwidth(values)
     grid = np.linspace(values.min() - 4.0 * h, values.max() + 4.0 * h, 512)
+    step = grid[1] - grid[0]
+    if not step <= h:
+        raise DegenerateSample(
+            f"bandwidth {h:.3g} is narrower than the grid step {step:.3g}; "
+            f"the 512-point grid cannot resolve the kernels"
+        )
     return DensitySummary(
         grid=grid, observed_density=_kde_on_grid(values, grid, h), group_label=group_label
     )

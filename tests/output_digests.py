@@ -24,10 +24,13 @@ intercept-only run on a one-column file. The CLI input carries an incomplete
 column ``x4`` that is no covariate, so ``impute`` copies its empty cells and edge values
 (-0.0, a subnormal, the largest float) through the CSV writer. It uses only
 names that are public in every version of the package and draws its data with
-numpy directly. Takes about 13 s on a two-core machine.
+numpy directly. Takes about 15 s on a two-core machine.
 
 After the ``all`` line, which they do not enter (so that line compares with
-checkouts that lack them), come two lines for the CSV reader: the digest of
+checkouts that lack them), comes one line for the large-n sweep kernels:
+``ri_impute`` (``nonresponse_columns=(0,)``, m = 5, 10 sweeps) and
+``mar_impute`` on 100 000 rows of the mnar3/strong design. Then come two
+lines for the CSV reader: the digest of
 the columns ``read_csv_columns`` returns for a file with comment and blank
 lines, ``NA`` and empty cells, padded and quoted cells and edge values, and
 the digest of its messages, path removed, for three faulty files. Then come
@@ -66,6 +69,7 @@ from riimpute import (
 from riimpute.cli import main, read_csv_columns
 
 RI_SIZES = (9, 12, 15, 30, 100, 1000, 20_000)
+LARGE_N = 100_000
 SCENARIO_N = 1000
 SCENARIO_REPLICATIONS = 10
 
@@ -87,6 +91,15 @@ def mnar_data(seed: int, n: int) -> IncompleteDataset:
     observed[-1] = False  # at least one missing row
     target = np.where(observed, x, np.nan)
     return IncompleteDataset(target, z)
+
+
+def mnar3_strong_data(n: int) -> IncompleteDataset:
+    """The mnar3/strong design: ``beta = (1, 0.5, 1)``, selection on the target alone."""
+    gen = np.random.default_rng([14, n])
+    z = np.column_stack([gen.normal(2.0, 2.0, n), gen.normal(-1.0, 1.0, n)])
+    x = 1.0 + 0.5 * z[:, 0] + z[:, 1] + gen.standard_normal(n)
+    observed = gen.random(n) < expit(-2.0 + 1.5 * x)
+    return IncompleteDataset(np.where(observed, x, np.nan), z)
 
 
 def near_separated_data() -> IncompleteDataset:
@@ -184,6 +197,16 @@ def library_digests() -> list[str]:
         lines.append(f"run_scenario+format_result_table x10{label} "
                      f"{hashlib.sha256(table.encode()).hexdigest()}")
     return lines
+
+
+def large_line() -> str:
+    """One line: the ``ri_impute`` line of ``mnar3_strong_data(LARGE_N)``, then its
+    ``mar_impute`` digest."""
+    data = mnar3_strong_data(LARGE_N)
+    lines: list[str] = []
+    with _ri_lines(lines) as ri_line:
+        ri_line(f"n={LARGE_N} mnar3/strong", data, LARGE_N, (0,))
+    return f"{lines[0]} mar_impute {_sha(*mar_impute(data, 5, RngStream(LARGE_N, 1)))}"
 
 
 def _write_input(path: str, header: list[str], data: IncompleteDataset) -> None:
@@ -329,6 +352,7 @@ if __name__ == "__main__":
         print(line)
     total = hashlib.sha256("\n".join(all_lines).encode()).hexdigest()
     print(f"all {total}")
+    print(large_line())
     for line in reader_digests() + failure_rule_lines():
         print(line)
     sys.exit(0)

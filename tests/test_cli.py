@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -226,7 +227,7 @@ def test_reader_exits_2(tmp_path, capsys, content, message):
     (None, ["impute", "{data}", "--target", "w", "--covariates", "z", "--output-prefix", "{out}"],
      "{data}: missing columns ['w']; available: ['y', 'z']"),
     (None, ["impute", "{holes}", "--target", "y", "--covariates", "z", "--output-prefix", "{out}"],
-     "{holes}: covariates contain missing cells"),
+     "InvalidParameter: covariates must be fully observed; 'z' has 1 missing cell"),
     (None, ["simulate", "--scenario-file", "{no_mechanism}", "--output", "{out}.csv"],
      "InvalidParameter: scenario file must set 'mechanism'"),
     (None, ["simulate", "--scenario-file", "{no_equals}", "--output", "{out}.csv"],
@@ -667,6 +668,17 @@ def test_density_constant_group_exits_3(tmp_path):
     write_csv(csv_path, ["v"], {"v": np.ones(30)})
     assert main(["density", str(csv_path), "--column", "v",
                  "--output", str(tmp_path / "d.csv")]) == 3
+
+
+def test_density_collapsed_bandwidth_exits_3_without_warning(tmp_path, capsys):
+    csv_path = tmp_path / "outlier.csv"
+    csv_path.write_text("v\n0\n0\n0\n1e-300\n1e6\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["density", str(csv_path), "--column", "v",
+                     "--output", str(tmp_path / "d.csv")]) == 3
+    assert "DegenerateSample" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_density_imputed_group_left_shifted_under_selection(tmp_path):

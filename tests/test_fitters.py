@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from riimpute.fitters import IRLS_COEF_CAP, _irls, _mu_loglik
+from riimpute.fitters import IRLS_COEF_CAP, _information, _irls, _mu_loglik
 
 from riimpute import (
     DimensionMismatch,
@@ -243,6 +243,34 @@ def test_logistic_fused_loglik_matches_oracle_without_overflow():
     assert np.allclose(mu, expit(eta), rtol=1e-14, atol=0)
 
 
+def test_mu_loglik_bytes_match_the_branching_formula():
+    tiny = np.finfo(float).smallest_subnormal
+    eta = np.r_[0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 37.0, -37.0, 745.0, -745.0,
+                800.0, -800.0, np.linspace(-50.0, 50.0, 1001)]
+    x = eta[:, None]
+    y = (np.arange(eta.size) % 3 == 0).astype(float)
+    mu, ll = _mu_loglik(x, y, np.ones(1))
+    # the formula _mu_loglik had before its numerator became max(eta >= 0, e)
+    e = np.exp(-np.abs(eta))
+    expected_mu = np.where(eta >= 0, 1.0, e) / (1.0 + e)
+    expected_ll = float(y @ eta - np.maximum(eta, 0.0).sum() - np.log1p(e).sum())
+    assert mu.tobytes() == expected_mu.tobytes()
+    assert np.float64(ll).tobytes() == np.float64(expected_ll).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 1000, 100_000])
+def test_information_bytes_match_the_broadcast_product(n):
+    gen = RngStream(55, n).generator
+    buffer = np.empty((5, n))
+    for p in range(1, 6):
+        x = np.column_stack([np.ones(n), gen.normal(0.0, 3.0, (n, p - 1))])
+        assert x.flags.c_contiguous
+        mu = expit(x @ gen.normal(0.0, 0.5, p))
+        w = mu * (1.0 - mu)
+        expected = x.T @ (w[:, None] * x)
+        assert _information(x, mu, buffer[:p]).tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # logistic_fit from a start
 
@@ -281,7 +309,7 @@ def test_logistic_start_past_cap_retries_cold(well_posed):
     x, y, cold = well_posed
     start = np.array([10.0, -10.0, 0.0])
     # the first step from this start overshoots the cap on data that do not separate
-    *_, warm_iterations, error = _irls(x, y, start)
+    *_, warm_iterations, error = _irls(x, y, start, np.empty(x.shape[::-1]))
     assert isinstance(error, Separation)
     fit = logistic_fit(x, y, start=start)
     assert np.array_equal(fit.coefficients, cold.coefficients)

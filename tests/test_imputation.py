@@ -55,6 +55,32 @@ def test_dataset_validation():
     assert data.covariate_names == ("z1",)
 
 
+def test_dataset_names_the_first_covariate_with_holes():
+    covariates = np.column_stack([np.arange(5.0), [1.0, np.nan, 2.0, np.nan, 3.0],
+                                  [np.nan, 1.0, 2.0, 3.0, 4.0]])
+    with pytest.raises(InvalidParameter, match="^covariates must be fully observed; 'b' has 2 "
+                                               "missing cells$"):
+        IncompleteDataset(np.arange(5.0), covariates, covariate_names=("a", "b", "c"))
+    with pytest.raises(InvalidParameter, match="'z3' has 1 missing cell$"):
+        IncompleteDataset(np.arange(5.0), covariates[:, [0, 0, 2]])
+
+
+def test_dataset_row_indices_match_the_mask():
+    target = RngStream(9, 0).generator.normal(0, 1, 50)
+    target[[0, 3, 4, 17, 49]] = np.nan
+    data = IncompleteDataset(target, np.arange(100.0).reshape(50, 2))
+    for copy in (data, pickle.loads(pickle.dumps(data))):
+        rows = {"_observed_rows": np.flatnonzero(copy.observed_mask),
+                "_missing_rows": np.flatnonzero(~copy.observed_mask),
+                "_observed_target": copy.target[copy.observed_mask]}
+        for name, expected in rows.items():
+            array = getattr(copy, name)
+            assert array.dtype == expected.dtype and array.tobytes() == expected.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = array[:1]
+    assert data._missing_rows.tolist() == [0, 3, 4, 17, 49]
+
+
 def test_dataset_ignores_later_writes_to_the_callers_arrays():
     gen = RngStream(8, 0).generator
     covariates = gen.normal(0, 1, (40, 2))

@@ -257,6 +257,13 @@ def test_density_degenerate_sample():
         density_summary(np.array([1.0]), "single")
 
 
+def test_density_collapsed_bandwidth_raises_before_the_kernel_sum():
+    # the IQR term gives h of about 1e-300 against a range of 1e6
+    values = np.array([0.0, 0.0, 0.0, 1e-300, 1e6])
+    with np.errstate(all="raise"), pytest.raises(DegenerateSample, match="grid step"):
+        density_summary(values, "collapsed")
+
+
 def test_silverman_bandwidth_scale():
     values = RngStream(86, 0).generator.standard_normal(100_000)
     h = silverman_bandwidth(values)
