@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionMismatch, InvalidParameter
 from .rng import RngStream, sample_bernoulli
@@ -57,6 +56,10 @@ def _covariate_matrix(z, n_rows: int, n_coefs: int) -> np.ndarray:
 
 def _probability(psi: np.ndarray, x1: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Kernel of ``response_probability``: ``psi`` is ``[psi0, psi1, *psi_z]``, z is (n, k)."""
+    # imported on first use: scipy.special costs about 0.25 s per process, and
+    # commands that draw no missingness (``density``) never load it
+    from scipy.special import expit
+
     return expit(psi[0] + psi[1] * x1 + z @ psi[2:])
 
 

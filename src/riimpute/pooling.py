@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from math import inf
 
 import numpy as np
-from scipy.special import ndtri, stdtrit
 
 from .errors import DimensionMismatch, InvalidParameter
 from .fitters import ols_fit
@@ -55,8 +54,12 @@ def _with_interval(q_bar, u_bar, b, t, df, m: int) -> PooledEstimate:
 
     ``stdtrit`` and ``ndtri`` are the functions SciPy's ``t.ppf`` and
     ``norm.ppf`` evaluate (same bits), without importing its stats package,
-    which costs about 0.8 s per process.
+    which costs about 0.8 s per process. They are imported on first use:
+    ``scipy.special`` itself costs about 0.25 s, and commands that pool
+    nothing (``density``) never load it.
     """
+    from scipy.special import ndtri, stdtrit
+
     quantile = np.full(len(df), ndtri(0.975))
     finite = np.isfinite(df)
     quantile[finite] = stdtrit(df[finite], 0.975)

@@ -61,6 +61,7 @@ from riimpute import (
     RiImputeError,
     RngStream,
     builtin_scenario,
+    density_summary,
     format_result_table,
     mar_impute,
     ri_impute,
@@ -69,6 +70,7 @@ from riimpute import (
 from riimpute.cli import main, read_csv_columns
 
 RI_SIZES = (9, 12, 15, 30, 100, 1000, 20_000)
+DENSITY_SIZES = (2, 3, 8191, 8192, 8193, 56_000)
 LARGE_N = 100_000
 SCENARIO_N = 1000
 SCENARIO_REPLICATIONS = 10
@@ -346,6 +348,14 @@ def failure_rule_lines() -> list[str]:
     return lines
 
 
+def density_lines() -> list[str]:
+    lines = []
+    for n in DENSITY_SIZES:
+        summary = density_summary(np.random.default_rng([15, n]).normal(1.0, 3.0, n))
+        lines.append(f"density_summary n={n} {_sha(summary.grid, summary.observed_density)}")
+    return lines
+
+
 if __name__ == "__main__":
     all_lines = library_digests() + cli_digests()
     for line in all_lines:
@@ -353,6 +363,6 @@ if __name__ == "__main__":
     total = hashlib.sha256("\n".join(all_lines).encode()).hexdigest()
     print(f"all {total}")
     print(large_line())
-    for line in reader_digests() + failure_rule_lines():
+    for line in reader_digests() + failure_rule_lines() + density_lines():
         print(line)
     sys.exit(0)

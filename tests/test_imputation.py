@@ -1,5 +1,9 @@
 import logging
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -709,3 +713,34 @@ def test_cell_means_recombine_to_grand_mean(n, seed):
     counts = np.bincount(2 * r + rdot, minlength=4).reshape(2, 2)
     grand_mean = np.nansum(cells * counts) / n
     assert abs(grand_mean - target.mean()) < 1e-10
+
+
+BLAS_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from riimpute import IncompleteDataset, RiConfig, RngStream, mar_impute, ri_impute
+gen = np.random.default_rng([16, 2000])
+z = np.column_stack([gen.normal(2.0, 2.0, 2000), gen.normal(-1.0, 1.0, 2000)])
+x = 1.0 + 0.5 * z[:, 0] + z[:, 1] + gen.standard_normal(2000)
+observed = gen.random(2000) < 1.0 / (1.0 + np.exp(2.0 - 1.5 * x))
+data = IncompleteDataset(np.where(observed, x, np.nan), z)
+for completions in (ri_impute(data, RiConfig(iterations=10, num_imputations=5, seed=3),
+                              nonresponse_columns=(0,)),
+                    mar_impute(data, 5, RngStream(3, 1))):
+    print(hashlib.sha256(np.stack(completions).tobytes()).hexdigest())
+"""
+
+
+def test_draws_do_not_depend_on_the_blas_thread_count_at_2000_rows():
+    # OpenBLAS splits a dot product over threads only above about 10 000 rows,
+    # which changes its sum; below that the draws are the same for any count
+    def digests(threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    single = digests("1")
+    assert len(single) == 2 and digests("2") == single

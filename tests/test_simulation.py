@@ -250,6 +250,41 @@ def test_kde_matches_reference_bytes(n):
     assert peak < 40e6
 
 
+def _kde_untiled(values, grid, bandwidth):
+    """The kernel sum before tiling: one 512 x 8192 buffer, one thread."""
+    density = np.zeros_like(grid)
+    norm_const = 1.0 / (len(values) * bandwidth * np.sqrt(2.0 * np.pi))
+    buffer = np.empty((len(grid), min(len(values), 8192)))
+    for start in range(0, len(values), 8192):
+        block = values[start : start + 8192]
+        kernel = buffer[:, : len(block)]
+        np.subtract(grid[:, None], block[None, :], out=kernel)
+        kernel /= bandwidth
+        kernel *= kernel
+        kernel *= -0.5
+        np.exp(kernel, out=kernel)
+        density += kernel.sum(axis=1)
+    return density * norm_const
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("n", [2, 3, 8191, 8192, 8193, 56_000])
+def test_tiled_kde_matches_untiled_bytes_for_any_cpu_count(monkeypatch, n, cpus):
+    monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
+    values = RngStream(88, n).generator.normal(1.0, 3.0, n)
+    h = silverman_bandwidth(values)
+    grid = np.linspace(values.min() - 4.0 * h, values.max() + 4.0 * h, 512)
+    tracemalloc.start()
+    try:
+        density = _kde_on_grid(values, grid, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert density.tobytes() == _kde_untiled(values, grid, h).tobytes()
+    # one 8 x 8192 float64 buffer (0.5 MB) per thread
+    assert peak < cpus * 0.6e6 + 0.2e6
+
+
 def test_density_degenerate_sample():
     with pytest.raises(DegenerateSample):
         density_summary(np.ones(10), "flat")
