@@ -5,7 +5,8 @@ runs a Monte Carlo scenario and writes the results table, ``density`` writes
 kernel density curves for plotting elsewhere.
 
 Exit codes: 0 on success, 2 for unusable input (parse failures, a file with no
-data rows, missing or repeated columns, too few rows), 3 for statistical
+data rows, missing or repeated columns, too few rows, an input that cannot be
+read or an output that cannot be written), 3 for statistical
 failure (any other library error: rank deficiency, degenerate samples, too
 many failed replications). ``impute`` computes every estimate before it writes
 its first file, so a failure leaves no output. Output files are byte-identical
@@ -16,6 +17,7 @@ citing the command, seed, package version and an input content digest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -157,6 +159,8 @@ def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
                     column.append(value)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:  # such as a cell over the csv module's field size limit
+        raise CliInputError(f"{path}:{reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliInputError(
             f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})"
@@ -166,6 +170,17 @@ def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
     if not columns[0]:
         raise CliInputError(f"{path}: no data rows")
     return header, {name: np.frombuffer(column) for name, column in zip(header, columns)}
+
+
+@contextlib.contextmanager
+def _writing(path: Path):
+    """``path`` opened for writing UTF-8 text; a file that cannot be opened or
+    written is unusable input (exit code 2), like one that cannot be read."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
 
 
 # rows joined per write: bounds the text held at once to a few hundred kB
@@ -192,7 +207,7 @@ def write_csv_columns(
     written ``""``).
     """
     ordered = [columns[name] for name in header]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with _writing(path) as handle:
         for line in record.header_lines():
             handle.write(f"# {line}\n")
         csv.writer(handle, lineterminator="\n").writerow(header)
@@ -306,7 +321,8 @@ def _write_pooled(args: argparse.Namespace, names: list[str], pooled, record: Cl
     ]
     payload = {"run": run, "method": args.method, "analysis": analysis}
     out_path = Path(f"{args.output_prefix}_pooled.json")
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _writing(out_path) as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path}", file=sys.stderr)
 
 
@@ -346,7 +362,8 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
         f"iterations: {config.iterations}",
     )
     table = format_result_table([result], header_lines)
-    Path(args.output).write_text(table, encoding="utf-8")
+    with _writing(Path(args.output)) as handle:
+        handle.write(table)
     print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
@@ -383,7 +400,7 @@ def _cmd_density(args: argparse.Namespace, argv: list[str]) -> int:
         curves.append(density_summary(values, group_label=label))
 
     out_path = Path(args.output)
-    with open(out_path, "w", newline="", encoding="utf-8") as handle:
+    with _writing(out_path) as handle:
         for line in record.header_lines():
             handle.write(f"# {line}\n")
         writer = csv.writer(handle, lineterminator="\n")

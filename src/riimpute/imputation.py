@@ -14,14 +14,20 @@ ignorable mechanism) and ``complete_case`` (drop incomplete rows).
 
 from __future__ import annotations
 
+import functools
 import logging
+import multiprocessing
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DegenerateRdot, DimensionMismatch, InvalidParameter, NonConvergence,
                      Separation, TooFewRows)
-from .fitters import LinearFit, _logistic, _ols, logistic_fit
+from .fitters import (_EINSUM_ROWS, LinearFit, _Columns, _irls_work, _logistic, _matvec, _ols,
+                      logistic_fit)
 from .mechanism import NonresponseParams, _probability
 from .rng import RngStream, _bernoulli, _mvnormal, mix_stream_id, sample_scaled_inv_chi2
 
@@ -165,7 +171,8 @@ def _adjustment_fit(data: IncompleteDataset, rdot: np.ndarray, design: np.ndarra
     return _ols(design, data._observed_target)
 
 
-def _impute_draw(data: IncompleteDataset, fit: LinearFit, rng: RngStream, rdot=None) -> np.ndarray:
+def _impute_draw(data: IncompleteDataset, design, fit: LinearFit, rng: RngStream, rdot=None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """One posterior imputation of the missing rows from an observed-rows fit.
 
     Draws the residual variance (scaled inverse chi-square) and the regression
@@ -176,6 +183,9 @@ def _impute_draw(data: IncompleteDataset, fit: LinearFit, rng: RngStream, rdot=N
     pseudo-observed, twice when pseudo-missing. Normal noise at the drawn
     residual variance is added. ``fit`` comes from data that passed
     ``require_fittable``, so it has at least two residual degrees of freedom.
+    ``design`` is ``data._missing_design``, or the same rows as ``_Columns``.
+    The completed target is a copy of ``data.target``, or ``out``, a
+    completed target whose missing rows are overwritten.
     """
     if fit.residual_variance > 0:
         sigma2_dot = sample_scaled_inv_chi2(fit.n_rows - fit.n_params, fit.residual_variance, rng)
@@ -186,11 +196,14 @@ def _impute_draw(data: IncompleteDataset, fit: LinearFit, rng: RngStream, rdot=N
     phi_dot = _mvnormal(fit.coefficients[phi], sigma2_dot * fit.gram_inverse[phi, phi], rng)
 
     mis = data._missing_rows
-    means = data._missing_design @ phi_dot
+    means = _matvec(design, phi_dot)
     if rdot is not None:
-        means = means + float(fit.coefficients[-1]) * (np.asarray(rdot)[mis] - 2.0)
-    completed = data.target.copy()
-    completed[mis] = means + np.sqrt(sigma2_dot) * rng.generator.standard_normal(data.n_missing)
+        means += float(fit.coefficients[-1]) * (np.asarray(rdot)[mis] - 2.0)
+    noise = rng.generator.standard_normal(data.n_missing)
+    noise *= np.sqrt(sigma2_dot)
+    means += noise
+    completed = data.target.copy() if out is None else out
+    completed[mis] = means
     return completed
 
 
@@ -202,7 +215,7 @@ def impute_given_rdot(data: IncompleteDataset, rdot, rng: RngStream) -> np.ndarr
     ``z.phi + delta_adj * (rdot - 2)``: the shift applied once for
     pseudo-observed rows and twice for pseudo-missing rows.
     """
-    return _impute_draw(data, estimate_adjustment(data, rdot), rng, rdot)
+    return _impute_draw(data, data._missing_design, estimate_adjustment(data, rdot), rng, rdot)
 
 
 def draw_psi_posterior(
@@ -242,7 +255,14 @@ def mar_impute(data: IncompleteDataset, m: int, rng: RngStream) -> list[np.ndarr
         return [data.target.copy() for _ in range(m)]
     data.require_imputable()
     fit = _mar_fit(data)
-    return [_impute_draw(data, fit, rng) for _ in range(m)]
+    return [_impute_draw(data, data._missing_design, fit, rng) for _ in range(m)]
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
 
 
 def ri_impute(
@@ -268,6 +288,15 @@ def ri_impute(
     rank-deficient fit raises). Within a chain, each selection-model fit
     starts from the chain's latest coefficient draw; the first starts at zero.
 
+    From 10 000 rows on (``fitters._EINSUM_ROWS``) the chains run on a pool
+    of one thread per available CPU, and their designs are column-major with
+    every n-long product summed by einsum, not BLAS, so the draws are the
+    same for any number of CPUs or BLAS threads. In a worker process (such as
+    ``run_scenario``'s), where the parent already shares the CPUs out, and
+    below that row count, they run one after another. Either way the
+    warnings are logged in chain order, and the first failing chain's error
+    is raised, after the warnings of the chains before it.
+
     The sweeps run the kernels of the public steps without their argument
     checks: every array they get is built here from the checked dataset.
     """
@@ -283,48 +312,114 @@ def ri_impute(
                        config.num_imputations)
         return [data.target.copy() for _ in range(config.num_imputations)]
     data.require_imputable()
+    # read by every chain, never written
     z_nr = data.covariates[:, cols]
     # 0s and 1s both occur (the return above, require_imputable); floats: no cast per IRLS product
     response = data.observed_mask.astype(float)
-    # built once; each sweep overwrites the target column and the rdot - 1 column
-    selection_design = np.column_stack([np.ones(data.n), data.target, z_nr])
-    adjustment_design = np.column_stack([data._observed_design, np.zeros(data.n_observed)])
+    if data.n < _EINSUM_ROWS:
+        missing_design = data._missing_design
 
-    results: list[np.ndarray] = []
-    for chain in range(config.num_imputations):
-        rng = RngStream(config.seed, mix_stream_id("ri-chain", chain))
-        completed = data.target.copy()
-        completed[data._missing_rows] = rng.generator.choice(
-            data._observed_target, size=data.n_missing, replace=True)
-        psi_dot = np.zeros(selection_design.shape[1])
-        for _ in range(config.iterations):
-            selection_design[:, 1] = completed
-            try:
-                fit = _logistic(selection_design, response, psi_dot)
-            except (Separation, NonConvergence) as exc:
-                logger.warning("selection model %s; sweep uses zero shift",
-                               "separated" if isinstance(exc, Separation) else "did not converge")
-                completed = _impute_draw(data, _mar_fit(data), rng)
-                continue
-            psi_dot = _mvnormal(fit.coefficients, fit.covariance, rng)
-            if not np.isfinite(psi_dot).all():  # the check NonresponseParams makes
-                raise InvalidParameter("nonresponse coefficients must be finite")
-            for _ in range(MAX_RDOT_REDRAWS + 1):
-                rdot = _bernoulli(_probability(psi_dot, completed, z_nr), rng)
-                try:
-                    adjustment = _adjustment_fit(data, rdot, adjustment_design)
-                except DegenerateRdot:
-                    continue
-                completed = _impute_draw(data, adjustment, rng, rdot)
-                break
-            else:
-                logger.warning(
-                    "pseudo indicator degenerate after %d redraws; sweep uses zero shift",
-                    MAX_RDOT_REDRAWS,
-                )
-                completed = _impute_draw(data, _mar_fit(data), rng)
-        results.append(completed)
+        def workspace() -> tuple:
+            selection = np.column_stack([np.ones(data.n), data.target, z_nr])
+            adjustment = np.column_stack([data._observed_design, np.zeros(data.n_observed)])
+            return selection, adjustment, _irls_work(selection)
+    else:
+        selection_block = np.asfortranarray(np.column_stack([np.ones(data.n), z_nr]))
+        adjustment_block = np.asfortranarray(data._observed_design)
+        missing_design = _Columns(np.asfortranarray(data._missing_design))
+        z_nr = _Columns(np.asfortranarray(z_nr))
+
+        def workspace() -> tuple:
+            selection = _Columns(selection_block, np.empty(data.n), at=1)
+            adjustment = _Columns(adjustment_block, np.empty(data.n_observed), at=k + 1)
+            return selection, adjustment, _irls_work(selection)
+
+    # The completions and the workspaces are allocated on this thread: memory a
+    # pool thread allocates stays in that thread's malloc arena after it is freed.
+    completions = [data.target.copy() for _ in range(config.num_imputations)]
+    warnings: list[list[tuple]] = [[] for _ in completions]
+    serial = data.n < _EINSUM_ROWS or multiprocessing.parent_process() is not None
+    threads = 1 if serial else min(_available_cpus(), len(completions))
+    spaces = queue.SimpleQueue()  # one per thread, so get() never waits
+    for _ in range(threads):
+        spaces.put(workspace())
+
+    def run(chain: int) -> np.ndarray:
+        space = spaces.get()
+        try:
+            return _chain(data, config, z_nr, response, missing_design, space,
+                          completions[chain], chain, warnings[chain])
+        finally:
+            spaces.put(space)
+
+    if serial:
+        return _in_chain_order([functools.partial(run, c) for c in range(len(completions))],
+                               warnings)
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        futures = [pool.submit(run, chain) for chain in range(len(completions))]
+        return _in_chain_order([future.result for future in futures], warnings)
+    finally:
+        pool.shutdown(cancel_futures=True)  # the chains after a failing one
+
+
+def _in_chain_order(outcomes, warnings: list[list[tuple]]) -> list[np.ndarray]:
+    """Call each chain's outcome in turn and log the chain's warnings after it,
+    so a failing chain's error is raised after the warnings of its own sweeps
+    and of every chain before it."""
+    results = []
+    for outcome, messages in zip(outcomes, warnings):
+        try:
+            results.append(outcome())
+        finally:
+            for message in messages:
+                logger.warning(*message)
     return results
+
+
+def _chain(data: IncompleteDataset, config: RiConfig, z_nr, response: np.ndarray, missing_design,
+           workspace: tuple, completed: np.ndarray, chain: int, warnings: list[tuple]) -> np.ndarray:
+    """One chain's sweeps; see ``ri_impute``. Returns ``completed``, a copy of
+    ``data.target`` whose missing rows the chain fills.
+
+    ``z_nr``, ``response`` and ``missing_design`` are shared with the other
+    chains and only read. ``workspace`` holds the selection and adjustment
+    designs (arrays, or ``_Columns`` from ``_EINSUM_ROWS`` rows on) and the
+    scratch rows that the selection fits and the pseudo-indicator draws
+    share; each sweep overwrites the designs' target and rdot - 1 columns and
+    the scratch. Warnings are appended to ``warnings`` as ``logger.warning``
+    arguments, for the caller to log in chain order.
+    """
+    selection_design, adjustment_design, work = workspace
+    rng = RngStream(config.seed, mix_stream_id("ri-chain", chain))
+    completed[data._missing_rows] = rng.generator.choice(
+        data._observed_target, size=data.n_missing, replace=True)
+    psi_dot = np.zeros(selection_design.shape[1])
+    for _ in range(config.iterations):
+        selection_design[:, 1] = completed
+        try:
+            fit = _logistic(selection_design, response, psi_dot, work)
+        except (Separation, NonConvergence) as exc:
+            warnings.append(("selection model %s; sweep uses zero shift",
+                             "separated" if isinstance(exc, Separation) else "did not converge"))
+            _impute_draw(data, missing_design, _mar_fit(data), rng, out=completed)
+            continue
+        psi_dot = _mvnormal(fit.coefficients, fit.covariance, rng)
+        if not np.isfinite(psi_dot).all():  # the check NonresponseParams makes
+            raise InvalidParameter("nonresponse coefficients must be finite")
+        for _ in range(MAX_RDOT_REDRAWS + 1):
+            rdot = _bernoulli(_probability(psi_dot, completed, z_nr, work), rng, out=work[-1])
+            try:
+                adjustment = _adjustment_fit(data, rdot, adjustment_design)
+            except DegenerateRdot:
+                continue
+            _impute_draw(data, missing_design, adjustment, rng, rdot, out=completed)
+            break
+        else:
+            warnings.append(("pseudo indicator degenerate after %d redraws; sweep uses zero shift",
+                             MAX_RDOT_REDRAWS))
+            _impute_draw(data, missing_design, _mar_fit(data), rng, out=completed)
+    return completed
 
 
 def complete_case(data: IncompleteDataset) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
+from .fitters import _matvec
 from .rng import RngStream, sample_bernoulli
 
 
@@ -54,13 +55,22 @@ def _covariate_matrix(z, n_rows: int, n_coefs: int) -> np.ndarray:
     return z
 
 
-def _probability(psi: np.ndarray, x1: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Kernel of ``response_probability``: ``psi`` is ``[psi0, psi1, *psi_z]``, z is (n, k)."""
+def _probability(psi: np.ndarray, x1: np.ndarray, z, work: np.ndarray | None = None) -> np.ndarray:
+    """Kernel of ``response_probability``: ``psi`` is ``[psi0, psi1, *psi_z]``, z is (n, k).
+
+    ``work``, two n-vector rows, takes the result (its first row) and one
+    temporary; a caller drawing often passes its own.
+    """
     # imported on first use: scipy.special costs about 0.25 s per process, and
     # commands that draw no missingness (``density``) never load it
     from scipy.special import expit
 
-    return expit(psi[0] + psi[1] * x1 + z @ psi[2:])
+    eta, shift = np.empty((2, len(x1))) if work is None else work[:2]
+    _matvec(z, psi[2:], out=eta)
+    np.multiply(x1, psi[1], out=shift)
+    shift += psi[0]
+    eta += shift
+    return expit(eta, out=eta)
 
 
 def response_probability(params: NonresponseParams, x1, z=None):

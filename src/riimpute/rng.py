@@ -116,6 +116,7 @@ def sample_bernoulli(p, rng: RngStream):
     return int(out) if out.ndim == 0 else out
 
 
-def _bernoulli(p: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Kernel of ``sample_bernoulli`` for probabilities in [0, 1]."""
-    return (rng.generator.random(p.shape) < p).astype(np.int8)
+def _bernoulli(p: np.ndarray, rng: RngStream, out: np.ndarray | None = None) -> np.ndarray:
+    """Kernel of ``sample_bernoulli`` for probabilities in [0, 1]; the uniform
+    draws are written to ``out`` when given."""
+    return (rng.generator.random(p.shape, out=out) < p).astype(np.int8)

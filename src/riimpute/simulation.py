@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateSample, InvalidParameter, RiImputeError
-from .imputation import IncompleteDataset, RiConfig, mar_impute, ri_impute, complete_case
+from .imputation import (IncompleteDataset, RiConfig, _available_cpus, complete_case, mar_impute,
+                         ri_impute)
 from .mechanism import NonresponseParams, generate_missingness
 from .pooling import PooledEstimate, coverage, fit_analysis, rubin_pool, single_fit_estimate
 from .rng import RngStream, mix_stream_id
@@ -285,13 +285,6 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     if spread <= 0:
         raise DegenerateSample("sample has no spread; bandwidth undefined")
     return 0.9 * spread * len(values) ** (-0.2)
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        return os.cpu_count() or 1
 
 
 def _kde_on_grid(values: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -29,8 +29,10 @@ numpy directly. Takes about 15 s on a two-core machine.
 After the ``all`` line, which they do not enter (so that line compares with
 checkouts that lack them), comes one line for the large-n sweep kernels:
 ``ri_impute`` (``nonresponse_columns=(0,)``, m = 5, 10 sweeps) and
-``mar_impute`` on 100 000 rows of the mnar3/strong design. Then come two
-lines for the CSV reader: the digest of
+``mar_impute`` on 100 000 rows of the mnar3/strong design, then the
+``ri_impute`` and ``mar_impute`` lines of the library cases at 9 999 and
+10 000 rows, either side of the row count from which ``ri_impute`` runs its
+chains on a thread pool. Then come two lines for the CSV reader: the digest of
 the columns ``read_csv_columns`` returns for a file with comment and blank
 lines, ``NA`` and empty cells, padded and quoted cells and edge values, and
 the digest of its messages, path removed, for three faulty files. Then come
@@ -70,6 +72,9 @@ from riimpute import (
 from riimpute.cli import main, read_csv_columns
 
 RI_SIZES = (9, 12, 15, 30, 100, 1000, 20_000)
+# either side of 10 000 rows, from which ri_impute runs its chains on a thread
+# pool and sums its n-long products with einsum
+POOL_SIZES = (9_999, 10_000)
 DENSITY_SIZES = (2, 3, 8191, 8192, 8193, 56_000)
 LARGE_N = 100_000
 SCENARIO_N = 1000
@@ -209,6 +214,17 @@ def large_line() -> str:
     with _ri_lines(lines) as ri_line:
         ri_line(f"n={LARGE_N} mnar3/strong", data, LARGE_N, (0,))
     return f"{lines[0]} mar_impute {_sha(*mar_impute(data, 5, RngStream(LARGE_N, 1)))}"
+
+
+def pool_size_lines() -> list[str]:
+    """The library cases' ``ri_impute`` and ``mar_impute`` lines at ``POOL_SIZES``."""
+    lines: list[str] = []
+    with _ri_lines(lines) as ri_line:
+        for n in POOL_SIZES:
+            data = mnar_data(3, n)
+            ri_line(f"n={n}", data, n, (0,))
+            lines.append(f"mar_impute n={n} {_sha(*mar_impute(data, 5, RngStream(n, 1)))}")
+    return lines
 
 
 def _write_input(path: str, header: list[str], data: IncompleteDataset) -> None:
@@ -363,6 +379,6 @@ if __name__ == "__main__":
     total = hashlib.sha256("\n".join(all_lines).encode()).hexdigest()
     print(f"all {total}")
     print(large_line())
-    for line in reader_digests() + failure_rule_lines() + density_lines():
+    for line in pool_size_lines() + reader_digests() + failure_rule_lines() + density_lines():
         print(line)
     sys.exit(0)

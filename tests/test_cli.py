@@ -266,6 +266,23 @@ def test_input_exits_2(tmp_path, capsys, caplog, monkeypatch, env, argv, message
     assert list(tmp_path.glob("out*")) == []
 
 
+@pytest.mark.parametrize("argv, output", [
+    (["impute", "{data}", "--target", "y", "--covariates", "z", "--method", "mar",
+      "--output-prefix", "{missing}/o"], "{missing}/o_imp1.csv"),
+    (["simulate", "--scenario", "mcar", "-n", "50", "--replications", "1", "-m", "2",
+      "--iterations", "1", "--output", "{missing}/t.csv"], "{missing}/t.csv"),
+    (["density", "{data}", "--column", "y", "--output", "{missing}/d.csv"], "{missing}/d.csv"),
+], ids=["impute", "simulate", "density"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, output):
+    data = tmp_path / "data.csv"
+    data.write_text("y,z\n1,0.5\n,1.5\n3,2.5\n4,3.5\n5,4\n", encoding="utf-8")
+    names = {"data": data, "missing": tmp_path / "no-such-dir"}
+    assert main([arg.format(**names) for arg in argv + ["--seed", "3"]]) == 2
+    path = output.format(**names)
+    assert capsys.readouterr().err.endswith(
+        f"error: cannot write {path}: [Errno 2] No such file or directory: '{path}'\n")
+
+
 def test_impute_single_imputation_writes_no_pooled_json(tmp_path, capsys):
     csv_path = tmp_path / "data.csv"
     mnar_csv(csv_path, n=300)

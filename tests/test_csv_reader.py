@@ -93,3 +93,11 @@ def test_reader_values_and_error_lines(tmp_path_factory, table, data):
     with pytest.raises(CliInputError) as excinfo:
         read_csv_columns(path)
     assert str(excinfo.value) == f"{path}:{ends[i]}: {BAD_CELLS[bad]} value {bad!r}"
+
+
+def test_cell_over_the_csv_field_limit_names_its_line(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("x,y\n1,2\n3," + "4" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(CliInputError) as excinfo:
+        read_csv_columns(path)
+    assert str(excinfo.value) == f"{path}:3: field larger than field limit (131072)"

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from riimpute.fitters import IRLS_COEF_CAP, _information, _irls, _mu_loglik
+from riimpute.fitters import (IRLS_COEF_CAP, _Columns, _information, _irls, _irls_work,
+                              _mu_loglik, _ols)
 
 from riimpute import (
     DimensionMismatch,
@@ -237,8 +238,9 @@ def test_logistic_fused_loglik_matches_oracle_without_overflow():
     eta = np.r_[np.linspace(-700.0, 700.0, 201), -36.5, 0.0, 1e-300, 36.5]
     x = eta[:, None]
     y = (np.arange(eta.size) % 3 == 0).astype(float)
+    mu = np.empty(eta.size)
     with np.errstate(all="raise"):
-        mu, ll = _mu_loglik(x, y, np.ones(1))
+        ll = _mu_loglik(x, y, np.ones(1), mu, np.empty((2, eta.size)))
     assert ll == pytest.approx(logistic_loglik(np.ones(1), x, y), rel=1e-14)
     assert np.allclose(mu, expit(eta), rtol=1e-14, atol=0)
 
@@ -249,7 +251,8 @@ def test_mu_loglik_bytes_match_the_branching_formula():
                 800.0, -800.0, np.linspace(-50.0, 50.0, 1001)]
     x = eta[:, None]
     y = (np.arange(eta.size) % 3 == 0).astype(float)
-    mu, ll = _mu_loglik(x, y, np.ones(1))
+    mu = np.empty(eta.size)
+    ll = _mu_loglik(x, y, np.ones(1), mu, np.empty((2, eta.size)))
     # the formula _mu_loglik had before its numerator became max(eta >= 0, e)
     e = np.exp(-np.abs(eta))
     expected_mu = np.where(eta >= 0, 1.0, e) / (1.0 + e)
@@ -269,6 +272,27 @@ def test_information_bytes_match_the_broadcast_product(n):
         w = mu * (1.0 - mu)
         expected = x.T @ (w[:, None] * x)
         assert _information(x, mu, buffer[:p]).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("at", [None, 0, 1, 3])
+def test_columns_products_match_the_array_products(at):
+    # the block-by-block einsum sums are the BLAS products up to rounding
+    n = 20_000
+    gen = RngStream(56, n).generator
+    x = np.column_stack([np.ones(n), gen.normal(0.0, 3.0, (n, 3))])
+    if at is None:
+        design = _Columns(np.asfortranarray(x))
+    else:
+        design = _Columns(np.asfortranarray(np.delete(x, at, axis=1)), np.empty(n), at=at)
+        design[:, at] = x[:, at]
+    b, w, v = gen.normal(0.0, 1.0, 4), gen.random(n), gen.normal(0.0, 1.0, n)
+    assert design.shape == x.shape
+    for got, expected in ((design.matvec(b), x @ b), (design.rmatvec(v), x.T @ v),
+                          (design.gram(), x.T @ x), (design.gram(w), x.T @ (w[:, None] * x)),
+                          (_ols(design, v).coefficients, _ols(x, v).coefficients)):
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    with pytest.raises(IndexError):
+        design[:, 2 if at != 2 else 1] = v
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +333,7 @@ def test_logistic_start_past_cap_retries_cold(well_posed):
     x, y, cold = well_posed
     start = np.array([10.0, -10.0, 0.0])
     # the first step from this start overshoots the cap on data that do not separate
-    *_, warm_iterations, error = _irls(x, y, start, np.empty(x.shape[::-1]))
+    *_, warm_iterations, error = _irls(x, y, start, _irls_work(x))
     assert isinstance(error, Separation)
     fit = logistic_fit(x, y, start=start)
     assert np.array_equal(fit.coefficients, cold.coefficients)

@@ -3,6 +3,8 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ from riimpute import (
     RngStream,
     Separation,
     TooFewRows,
+    builtin_scenario,
     complete_case,
     draw_psi_posterior,
     estimate_adjustment,
@@ -32,6 +35,8 @@ from riimpute import (
     ri_impute,
     rubin_pool,
     fit_analysis,
+    format_result_table,
+    run_scenario,
     sample_bernoulli,
     sample_mvnormal,
 )
@@ -453,9 +458,9 @@ def test_ri_warm_started_fits_give_the_cold_start_draws(monkeypatch, caplog, cas
     fit = imputation._logistic
     calls = []
 
-    def cold_fit(design, response, start):
+    def cold_fit(design, response, start, work):
         calls.append(start)
-        return fit(design, response, np.zeros_like(start))
+        return fit(design, response, np.zeros_like(start), work)
 
     monkeypatch.setattr(imputation, "_logistic", cold_fit)
     cold, cold_messages = run()
@@ -716,31 +721,131 @@ def test_cell_means_recombine_to_grand_mean(n, seed):
 
 
 BLAS_THREADS_SCRIPT = """
-import hashlib
+import hashlib, sys
 import numpy as np
-from riimpute import IncompleteDataset, RiConfig, RngStream, mar_impute, ri_impute
-gen = np.random.default_rng([16, 2000])
-z = np.column_stack([gen.normal(2.0, 2.0, 2000), gen.normal(-1.0, 1.0, 2000)])
-x = 1.0 + 0.5 * z[:, 0] + z[:, 1] + gen.standard_normal(2000)
-observed = gen.random(2000) < 1.0 / (1.0 + np.exp(2.0 - 1.5 * x))
+from riimpute import (IncompleteDataset, RiConfig, RngStream, fit_analysis, mar_impute,
+                      ri_impute)
+n = int(sys.argv[1])
+gen = np.random.default_rng([16, n])
+z = np.column_stack([gen.normal(2.0, 2.0, n), gen.normal(-1.0, 1.0, n)])
+x = 1.0 + 0.5 * z[:, 0] + z[:, 1] + gen.standard_normal(n)
+observed = gen.random(n) < 1.0 / (1.0 + np.exp(2.0 - 1.5 * x))
 data = IncompleteDataset(np.where(observed, x, np.nan), z)
 for completions in (ri_impute(data, RiConfig(iterations=10, num_imputations=5, seed=3),
                               nonresponse_columns=(0,)),
                     mar_impute(data, 5, RngStream(3, 1))):
     print(hashlib.sha256(np.stack(completions).tobytes()).hexdigest())
+    fits = [fit_analysis(z, completed) for completed in completions]
+    print(hashlib.sha256(np.stack([(f.beta_hat, f.variances) for f in fits]).tobytes()).hexdigest())
 """
 
 
-def test_draws_do_not_depend_on_the_blas_thread_count_at_2000_rows():
-    # OpenBLAS splits a dot product over threads only above about 10 000 rows,
-    # which changes its sum; below that the draws are the same for any count
-    def digests(threads):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split()
+def _blas_thread_digests(n, threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT, str(n)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
 
-    single = digests("1")
-    assert len(single) == 2 and digests("2") == single
+
+def test_draws_do_not_depend_on_the_blas_thread_count_at_2000_rows():
+    single = _blas_thread_digests(2000, "1")
+    assert len(single) == 4 and _blas_thread_digests(2000, "2") == single
+
+
+def test_draws_do_not_depend_on_the_blas_thread_count_at_100000_rows():
+    # OpenBLAS splits a dot product over threads from about 10 000 rows, which
+    # changes its sum; there every n-long dot and every chain product is einsum's
+    single = _blas_thread_digests(100_000, "1")
+    assert len(single) == 4 and _blas_thread_digests(100_000, "2") == single
+
+
+# ---------------------------------------------------------------------------
+# the chain pool, from imputation._EINSUM_ROWS rows on
+
+POOL_N = imputation._EINSUM_ROWS + 1
+
+
+@pytest.fixture(scope="module")
+def pool_data():
+    return _mnar_dataset(61, n=POOL_N, psi=(-1.0, 1.0, 0.0))[0]
+
+
+def _run(monkeypatch, caplog, data, config, *, serial, cpus=2):
+    """ri_impute's completions (or its error) and log, with the chains run one
+    after another as in a worker process, or on a pool of ``cpus`` threads."""
+    with monkeypatch.context() as patch:
+        patch.setattr(imputation, "_available_cpus", lambda: cpus)
+        if serial:
+            patch.setattr(imputation.multiprocessing, "parent_process", lambda: object())
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="riimpute.imputation"):
+            try:
+                outcome = [c.tobytes() for c in ri_impute(data, config, nonresponse_columns=(0,))]
+            except Exception as exc:
+                outcome = (type(exc), str(exc))
+        return outcome, [record.getMessage() for record in caplog.records]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_chain_pool_gives_the_serial_bytes_for_any_cpu_count(monkeypatch, caplog, pool_data, cpus):
+    config = RiConfig(iterations=4, num_imputations=5, seed=2)
+    started = []
+    pool_class = imputation.ThreadPoolExecutor
+
+    def counted_pool(max_workers):
+        started.append(max_workers)
+        return pool_class(max_workers=max_workers)
+
+    monkeypatch.setattr(imputation, "ThreadPoolExecutor", counted_pool)
+    serial = _run(monkeypatch, caplog, pool_data, config, serial=True)
+    assert started == []
+    assert _run(monkeypatch, caplog, pool_data, config, serial=False, cpus=cpus) == serial
+    assert started == [cpus]
+
+
+@pytest.mark.parametrize("m, expected", [
+    (4, [SEPARATED] * 3 + [NOT_CONVERGED] * 3),
+    (5, ((RankDeficient, "chain 2"), [SEPARATED] * 3)),
+], ids=["warnings", "first-error"])
+def test_chain_pool_keeps_warnings_and_the_first_error_in_chain_order(monkeypatch, caplog,
+                                                                     pool_data, m, expected):
+    # chain 1 is slowed down, so the chains after it finish first. Chains 1 and 3
+    # take the zero-shift fallback in every sweep, each with its own warning; at
+    # m = 5, chains 2 and 4 raise, and chain 2's error is the one raised, after
+    # the warnings of chains 0-1 and before any of chain 3's
+    current = threading.local()
+    chain, logistic = imputation._chain, imputation._logistic
+    errors = {1: Separation("s"), 3: NonConvergence("c")}
+    if m == 5:
+        errors.update({2: RankDeficient("chain 2"), 4: RankDeficient("chain 4")})
+
+    def slow_chain(*args):
+        current.chain = args[-2]
+        if current.chain == 1:
+            time.sleep(0.5)
+        return chain(*args)
+
+    def failing_logistic(*args):
+        if current.chain in errors:
+            raise errors[current.chain]
+        return logistic(*args)
+
+    monkeypatch.setattr(imputation, "_chain", slow_chain)
+    monkeypatch.setattr(imputation, "_logistic", failing_logistic)
+    config = RiConfig(iterations=3, num_imputations=m, seed=4)
+    serial = _run(monkeypatch, caplog, pool_data, config, serial=True)
+    assert _run(monkeypatch, caplog, pool_data, config, serial=False) == serial
+    assert (serial[1] if m == 4 else serial) == expected
+
+
+def test_run_scenario_workers_run_their_chains_serially(monkeypatch):
+    config = builtin_scenario("mnar1", n=POOL_N, replications=2, master_seed=5, iterations=2)
+    table = format_result_table([run_scenario(config)])
+
+    def no_pool(max_workers):
+        raise AssertionError("a scenario worker started a chain pool")
+
+    monkeypatch.setattr(imputation, "ThreadPoolExecutor", no_pool)
+    assert format_result_table([run_scenario(config, n_jobs=2)]) == table
