@@ -119,10 +119,13 @@ def _resolve_seed(value: int | None) -> int:
 # CSV handling: comma separated, one header row, '.' decimal separator, UTF-8.
 # Missing cells read as empty field or literal NA and written as empty fields;
 # cells that parse to a non-finite float (inf, nan, ...) are rejected. Cells are
-# written with %.17g, so a written file reads back bit for bit. The reader makes
-# one pass and holds 8 bytes per cell. The first fault in the file raises at once,
-# naming the physical line its row ends on: comment, blank and multi-line quoted
-# lines count. A file with a header but no data rows is refused after the pass.
+# written with the bytes of %.17g, so a written file reads back bit for bit:
+# numpy forms the 17 digits of every value with 1e-4 <= |v| < 1e16 (the range
+# %.17g writes without an exponent), and Python's '%.17g' % formats the rest
+# (±0.0, subnormals, |v| < 1e-4 or >= 1e16). The reader makes one pass and holds
+# 8 bytes per cell. The first fault in the file raises at once, naming the
+# physical line its row ends on: comment, blank and multi-line quoted lines
+# count. A file with a header but no data rows is refused after the pass.
 
 
 def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
@@ -183,42 +186,175 @@ def _writing(path: Path):
         raise CliInputError(f"cannot write {path}: {exc}") from exc
 
 
-# rows joined per write: bounds the text held at once to a few hundred kB
+# rows formatted and written at a time: bounds the bytes held at once to a few hundred kB
 _CSV_CHUNK_ROWS = 4096
 
+# A formatted cell is _CELL_BYTES bytes: its text, with NUL bytes in the places
+# it leaves unused, wherever they fall (the writer drops every NUL). The longest
+# %.17g text is 24 bytes: '-1.7976931348623157e+308'.
+_CELL_BYTES = 24
+# a cell as three little-endian words: text byte i is bits 8i to 8i + 7 of word i // 8
+_WORD = np.dtype("<u8")
+_U8, _U32, _U56 = np.uint64(8), np.uint64(32), np.uint64(56)
 
-def _csv_cells(column) -> list[str]:
-    """One column's CSV cells: ``%.17g``, NaN as an empty cell."""
-    values = np.asarray(column, dtype=float).tolist()
-    # "nan" is the only %.17g token containing "nan"
-    text = ("%.17g\n" * len(values)) % tuple(values)
-    return text.replace("nan", "").split("\n")[:-1]
+# 10**k for k = -5 ... 22 (index k + 5), each the double nearest to it. From
+# 1e-4 to 1e-1 that double lies above the power, so a >= _POW10[k + 5] holds
+# exactly when a >= 10**k; from 1e0 on the powers are exact, and so is
+# Dekker's split of each into two 26-bit halves.
+_POW10 = np.array([float(f"1e{k}") for k in range(-5, 23)])
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# floor(log10(2**(e - 1))) for the frexp exponents e of 1e-4 <= a < 1e16:
+# a in [2**(e - 1), 2**e) has floor(log10(a)) equal to it or one more
+_EXP_MIN = -13
+_EXP10 = np.array([math.floor((e - 1) * math.log10(2)) for e in range(_EXP_MIN, 55)])
+# the ASCII digits of 0 ... 99, then of 0 ... 9999, as the low bytes of a word
+_DIGITS2 = ((np.arange(100, dtype=_WORD) // 10 + 48)
+            | ((np.arange(100, dtype=_WORD) % 10 + 48) << _U8))
+_DIGITS4 = (_DIGITS2[:, None] | (_DIGITS2 << np.uint64(16))).ravel()
+_ZEROS8 = np.frombuffer(b"00000000", _WORD)[0]
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=_WORD)  # the n low bytes
+# bytes 1 on of the cell of a value below 1: "0." and -X - 1 zeros (index X + 4; none for X >= 0)
+_LEADING = np.array([int.from_bytes(b"\0" + b"0." + b"0" * (-x - 1), "little") if x < 0 else 0
+                     for x in range(-4, 16)], dtype=_WORD)
+
+
+def _text_bytes(words: np.ndarray) -> np.ndarray:
+    """Bytes up to the highest nonzero byte of each word (0 for 0), from the
+    bit length frexp gives; no byte exceeds 9, so rounding to float cannot
+    carry into the next byte."""
+    return (np.frexp(words.astype(float))[1] + 7) >> 3
+
+
+def _fixed_cells(v: np.ndarray) -> np.ndarray:
+    """(len(v), 3) words: the ``%.17g`` text of each value with 1e-4 <= |v| < 1e16.
+
+    With X = floor(log10|v|), the 17 digits are those of the integer
+    D = round-half-even(|v| * 10**(16 - X)), which is exact: Dekker's
+    two-product gives |v| * 10**(16 - X) = hi + lo exactly, and hi >= 1e16 >
+    2**53 is an even integer, so hi + rint(lo) rounds the sum half to even.
+    D never rounds up to 10**17, which would raise the exponent: the largest
+    double below a power of ten lies at least 2**-54 of it below, more than
+    half a unit of the 17th digit. The text is the first X + 1 digits, a
+    point and the rest without their trailing zeros (no point if none is
+    left); below 1 it is "0.", -X - 1 zeros and the digits without their
+    trailing zeros.
+    """
+    a = np.abs(v)
+    x = _EXP10[np.frexp(a)[1] - _EXP_MIN]
+    x += a >= _POW10[x + 6]
+    k = 21 - x  # the index of 10**(16 - x)
+    p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
+    hi = a * _POW10[k]
+    c = a * 134217729.0
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # the 17 digits as words: digits 0-7, 8-15 and 16
+    top = d // 1_000_000_000
+    low = d - top * 1_000_000_000
+    mid = low // 10
+    top4, mid4 = top // 10000, mid // 10000
+    w0 = _DIGITS4[top4] | (_DIGITS4[top - top4 * 10000] << _U32)
+    w1 = _DIGITS4[mid4] | (_DIGITS4[mid - mid4 * 10000] << _U32)
+    w2 = (low - mid * 10 + 48).astype(_WORD)
+    # the X + 1 integer digits (none below 1) stay whole; X <= 15, so digit 16 is a fraction digit
+    n_int = x + 1
+    int0 = _LOW_BYTES[np.clip(n_int, 0, 8)]
+    int1 = _LOW_BYTES[np.clip(n_int - 8, 0, 8)]
+    g0, g1 = w0 & int0, w1 & int1
+    f0, f1 = w0 ^ g0, w1 ^ g1
+    # the digits end at the last nonzero fraction digit, or with the integer
+    # digits: a '0' digit XOR '0' is 0, a cleared integer byte XOR '0' is not
+    used1 = _text_bytes(f1 ^ _ZEROS8)
+    used = np.where(w2 != 48, 17, np.where(used1 != 0, 8 + used1, _text_bytes(f0 ^ _ZEROS8)))
+    f0 &= _LOW_BYTES[np.minimum(used, 8)]
+    f1 &= _LOW_BYTES[np.clip(used - 8, 0, 8)]
+    f2 = w2 * (used == 17)
+    # byte 0 is the sign; the integer digits go one byte up, the fraction 2
+    # bytes up ("d." before it) or, below 1, 3 - X bytes up ("0.0..." before it)
+    up = (np.maximum(3 - x, 2) << 3).astype(_WORD)
+    down = np.uint64(64) - up
+    cells = np.empty((len(a), 3), _WORD)
+    cells[:, 0] = (g0 << _U8) | (f0 << up) | _LEADING[x + 4] | ((v < 0) * np.uint64(ord("-")))
+    cells[:, 1] = (g1 << _U8) | (g0 >> _U56) | (f1 << up) | (f0 >> down)
+    cells[:, 2] = (g1 >> _U56) | (f2 << up) | (f1 >> down)
+    # the point after the integer digits, where a fraction is left
+    rows = np.flatnonzero((x >= 0) & (used > n_int))
+    cells.view(np.uint8).reshape(-1)[rows * _CELL_BYTES + x[rows] + 2] = ord(".")
+    return cells
+
+
+def _format_cells(values: np.ndarray) -> np.ndarray:
+    """(len(values), _CELL_BYTES) uint8: each value's ``%.17g`` text, NaN as no text.
+
+    Values outside the fixed range (±0.0, subnormals, |v| < 1e-4 or >= 1e16)
+    take Python's ``'%.17g' %``.
+    """
+    a = np.abs(values)
+    fixed = (a >= 1e-4) & (a < 1e16)
+    if fixed.all():
+        return _fixed_cells(values).view(np.uint8)
+    cells = np.zeros((len(values), _CELL_BYTES), np.uint8)
+    rows = np.flatnonzero(fixed)
+    cells[rows] = _fixed_cells(values[rows]).view(np.uint8)
+    rows = np.flatnonzero(~fixed & ~np.isnan(values))
+    if len(rows):
+        text = np.frombuffer((("%.17g\n" * len(rows)) % tuple(values[rows].tolist())).encode(),
+                             np.uint8)
+        newline = text == ord("\n")
+        lengths = np.diff(np.flatnonzero(newline), prepend=-1) - 1
+        other = np.zeros((len(rows), _CELL_BYTES), np.uint8)
+        other[np.arange(_CELL_BYTES) < lengths[:, None]] = text[~newline]
+        cells[rows] = other
+    return cells
+
+
+def _csv_cells(column) -> np.ndarray:
+    """One column's cells, formatted a block at a time so the work arrays stay small."""
+    values = np.asarray(column, dtype=float)
+    cells = np.empty((len(values), _CELL_BYTES), np.uint8)
+    for start in range(0, len(values), _CSV_CHUNK_ROWS):
+        stop = start + _CSV_CHUNK_ROWS
+        cells[start:stop] = _format_cells(values[start:stop])
+    return cells
 
 
 def write_csv_columns(
-    path: Path, header: list[str], columns: dict[str, np.ndarray | list[str]], record: CliRunRecord
+    path: Path, header: list[str], columns: dict[str, np.ndarray], record: CliRunRecord
 ) -> None:
     """Write ``columns`` in ``header`` order, cells as ``%.17g`` and NaN as empty.
 
-    A column is an array, or the list ``_csv_cells`` made of it, so a caller
-    writing one column to several files formats it once. Rows are joined and
-    written a chunk at a time; the bytes are those ``csv.writer`` gives row
-    by row (numeric fields need no quoting, and a row of one empty field is
-    written ``""``).
+    numpy writes the digits of every value with 1e-4 <= |v| < 1e16, the range
+    that ``%.17g`` writes without an exponent; Python's ``'%.17g' %`` writes
+    the rest (±0.0, subnormals, |v| < 1e-4 or >= 1e16). A column is an array
+    of values, or the cells ``_csv_cells`` made of it (a 2-D uint8 array), so
+    a caller writing one column to several files formats it once. Each block
+    of ``_CSV_CHUNK_ROWS`` rows is laid out as fixed-width cells, each followed
+    by "," or a newline, and written without the NUL bytes the cells leave
+    unused. The bytes are those ``csv.writer`` gives row by row (numeric
+    fields need no quoting, and a row of one empty field is written ``""``).
     """
-    ordered = [columns[name] for name in header]
+    ordered = [np.asarray(columns[name]) for name in header]
+    length = len(ordered[0])
+    block = np.empty((min(length, _CSV_CHUNK_ROWS), len(header), _CELL_BYTES + 1), np.uint8)
+    block[:, :, -1] = ord(",")
+    block[:, -1, -1] = ord("\n")
     with _writing(path) as handle:
         for line in record.header_lines():
             handle.write(f"# {line}\n")
         csv.writer(handle, lineterminator="\n").writerow(header)
-        for start in range(0, len(ordered[0]), _CSV_CHUNK_ROWS):
-            stop = start + _CSV_CHUNK_ROWS
-            chunk = [column[start:stop] if isinstance(column, list)
-                     else _csv_cells(column[start:stop]) for column in ordered]
-            rows = map(",".join, zip(*chunk))
+        for start in range(0, length, _CSV_CHUNK_ROWS):
+            rows = block[:min(length - start, _CSV_CHUNK_ROWS)]
+            for j, column in enumerate(ordered):
+                chunk = column[start:start + _CSV_CHUNK_ROWS]
+                if chunk.ndim == 1:
+                    chunk = _format_cells(chunk.astype(float, copy=False))
+                rows[:, j, :-1] = chunk
             if len(header) == 1:
-                rows = (row or '""' for row in rows)
-            handle.write("\n".join(rows) + "\n")
+                rows[~rows[:, 0, :-1].any(axis=1), 0, :2] = ord('"')
+            handle.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _require_columns(header: list[str], wanted: list[str], path: Path) -> None:
@@ -246,6 +382,8 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
     record = _make_record(argv, seed, [path])
     header, data = read_csv_columns(path)
     covariate_names = _name_list(args.covariates, "--covariates")
+    if args.target in covariate_names:
+        raise CliInputError(f"--covariates must not name the target {args.target!r}")
     _require_columns(header, [args.target, *covariate_names], path)
 
     target = data[args.target]
@@ -275,7 +413,7 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
         if covariate_names:
             pooled = single_fit_estimate(fit_analysis(keep_covariates, keep_target))
         keep = dataset.observed_mask
-        outputs = {"cc": {name: data[name][keep] for name in header}}
+        outputs = [("cc", {name: data[name][keep] for name in header})]
     else:
         rng = RngStream(seed, mix_stream_id("cli-impute"))
         if args.method == "mar":
@@ -287,12 +425,9 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
         if covariate_names and len(completions) >= 2:
             fits = [fit_analysis(covariates, completed) for completed in completions]
             pooled = rubin_pool(fits, len(fits))
-        # the m files differ only in the target column: format the others once
-        shared = {name: _csv_cells(data[name]) for name in header if name != args.target}
-        outputs = {f"imp{k}": {**shared, args.target: completed}
-                   for k, completed in enumerate(completions, start=1)}
+        outputs = _imputed_files(header, data, args.target, completions)
 
-    for suffix, out_cols in outputs.items():
+    for suffix, out_cols in outputs:
         out_path = Path(f"{args.output_prefix}_{suffix}.csv")
         write_csv_columns(out_path, header, out_cols, record)
         print(f"wrote {out_path}", file=sys.stderr)
@@ -303,6 +438,23 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
         print("note: -m 1 writes no pooled JSON; pooling needs at least 2 imputations",
               file=sys.stderr)
     return 0
+
+
+def _imputed_files(header: list[str], data: dict[str, np.ndarray], target: str,
+                   completions: list[np.ndarray]):
+    """Yield each completed file's suffix and columns, as cells.
+
+    The files differ only in the target's missing cells, so every other
+    column and the observed target cells are formatted once. The one target
+    column of cells is refilled at the missing rows for each file, so each
+    file must be written before the next is taken.
+    """
+    shared = {name: _csv_cells(data[name]) for name in header if name != target}
+    target_cells = _csv_cells(data[target])
+    missing = np.isnan(data[target])
+    for k, completed in enumerate(completions, start=1):
+        target_cells[missing] = _csv_cells(completed[missing])
+        yield f"imp{k}", {**shared, target: target_cells}
 
 
 def _write_pooled(args: argparse.Namespace, names: list[str], pooled, record: CliRunRecord) -> None:

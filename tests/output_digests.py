@@ -24,12 +24,16 @@ intercept-only run on a one-column file. The CLI input carries an incomplete
 column ``x4`` that is no covariate, so ``impute`` copies its empty cells and edge values
 (-0.0, a subnormal, the largest float) through the CSV writer. It uses only
 names that are public in every version of the package and draws its data with
-numpy directly. Takes about 15 s on a two-core machine.
+numpy directly. Takes about 8 s on a two-core machine.
 
 After the ``all`` line, which they do not enter (so that line compares with
 checkouts that lack them), comes one line for the large-n sweep kernels:
 ``ri_impute`` (``nonresponse_columns=(0,)``, m = 5, 10 sweeps) and
-``mar_impute`` on 100 000 rows of the mnar3/strong design, then the
+``mar_impute`` on 100 000 rows of the mnar3/strong design, then one line
+for the CSV writer: the digest of the files ``impute --method mar -m 5`` and
+``impute --method ri -m 2`` write for those rows, with a pass-through column
+that holds every case of the writer (values across its fixed range, values
+either side of it, -0.0, 0.0, a subnormal, empty cells). Then come the
 ``ri_impute`` and ``mar_impute`` lines of the library cases at 9 999 and
 10 000 rows, either side of the row count from which ``ri_impute`` runs its
 chains on a thread pool. Then come two lines for the CSV reader: the digest of
@@ -227,10 +231,24 @@ def pool_size_lines() -> list[str]:
     return lines
 
 
-def _write_input(path: str, header: list[str], data: IncompleteDataset) -> None:
+def wide_passthrough_column(n: int) -> np.ndarray:
+    """``passthrough_column`` with every other row of its second half drawn
+    log-uniformly over [1e-6, 1e18), both signs: every exponent of the CSV
+    writer's fixed range and values either side of it."""
+    values = passthrough_column(n)
+    gen = np.random.default_rng([5, n, 6])
+    rows = np.arange(n // 2, n, 2)
+    values[rows] = np.exp(gen.uniform(np.log(1e-6), np.log(1e18), len(rows))) * gen.choice(
+        [-1.0, 1.0], len(rows))
+    values[rows[::3]] = np.nan
+    return values
+
+
+def _write_input(path: str, header: list[str], data: IncompleteDataset,
+                 passthrough=passthrough_column) -> None:
     """The CLI input: target x1, covariates x2 and x3, pass-through x4, in ``header`` order."""
     columns = {"x1": data.target, "x2": data.covariates[:, 0], "x3": data.covariates[:, 1],
-               "x4": passthrough_column(data.n)}
+               "x4": passthrough(data.n)}
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         for row in zip(*(columns[name] for name in header)):
@@ -290,6 +308,30 @@ def cli_digests() -> list[str]:
         finally:
             os.chdir(previous)
     return lines
+
+
+def large_cli_line() -> str:
+    """One line: the digest of the files that ``impute --method mar -m 5`` and
+    ``impute --method ri -m 2`` write for ``mnar3_strong_data(LARGE_N)`` with
+    the pass-through column ``wide_passthrough_column``."""
+    previous = os.getcwd()
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            _write_input("input.csv", ["x1", "x2", "x3", "x4"], mnar3_strong_data(LARGE_N),
+                         wide_passthrough_column)
+            codes = []
+            for method, m in (("mar", "5"), ("ri", "2")):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    codes.append(main(["impute", "input.csv", "--target", "x1", "--covariates",
+                                       "x2,x3", "--method", method, "-m", m, "--seed", "11",
+                                       "--output-prefix", method]))
+            for path in sorted(Path(".").glob("*_*")):
+                digest.update(path.name.encode() + path.read_bytes())
+        finally:
+            os.chdir(previous)
+    return f"cli impute n={LARGE_N} mar -m 5, ri -m 2 exit={codes} {digest.hexdigest()}"
 
 
 READER_INPUT = (
@@ -379,6 +421,7 @@ if __name__ == "__main__":
     total = hashlib.sha256("\n".join(all_lines).encode()).hexdigest()
     print(f"all {total}")
     print(large_line())
+    print(large_cli_line())
     for line in pool_size_lines() + reader_digests() + failure_rule_lines() + density_lines():
         print(line)
     sys.exit(0)

@@ -366,6 +366,23 @@ def test_impute_repeated_covariate_name_exits_2(tmp_path, capsys, method, option
 
 
 @pytest.mark.parametrize("method", ["ri", "mar", "cc"])
+@pytest.mark.parametrize("complete", [False, True], ids=["missing-target", "complete-target"])
+def test_impute_covariates_naming_the_target_exit_2(tmp_path, capsys, method, complete):
+    # refused before any fit, whether the target has missing cells or not
+    csv_path = tmp_path / "data.csv"
+    x1, _ = mnar_csv(csv_path, n=200)
+    if complete:
+        write_csv(csv_path, ["x1", "x2"], {"x1": x1, "x2": read_csv_columns(csv_path)[1]["x2"]})
+    code = main([
+        "impute", str(csv_path), "--target", "x1", "--covariates", "x2,x1",
+        "--method", method, "--seed", "1", "--output-prefix", str(tmp_path / "c"),
+    ])
+    assert code == 2
+    assert "error: --covariates must not name the target 'x1'" in capsys.readouterr().err
+    assert list(tmp_path.glob("c_*")) == []
+
+
+@pytest.mark.parametrize("method", ["ri", "mar", "cc"])
 def test_impute_unknown_nonresponse_covariate_exits_2(tmp_path, capsys, method):
     csv_path = tmp_path / "col.csv"
     collinear_csv(csv_path)
