@@ -20,6 +20,8 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
@@ -122,57 +124,237 @@ def _resolve_seed(value: int | None) -> int:
 # written with the bytes of %.17g, so a written file reads back bit for bit:
 # numpy forms the 17 digits of every value with 1e-4 <= |v| < 1e16 (the range
 # %.17g writes without an exponent), and Python's '%.17g' % formats the rest
-# (±0.0, subnormals, |v| < 1e-4 or >= 1e16). The reader makes one pass and holds
-# 8 bytes per cell. The first fault in the file raises at once, naming the
-# physical line its row ends on: comment, blank and multi-line quoted lines
-# count. A file with a header but no data rows is refused after the pass.
+# (±0.0, subnormals, |v| < 1e-4 or >= 1e16). The reader makes one pass in
+# blocks of whole lines and holds 8 bytes per cell. The first fault in file
+# order raises, naming the physical line its row ends on: comment, blank and
+# multi-line quoted lines count. A file with a header but no data rows is
+# refused after the pass.
+
+# the reader takes the file in blocks of whole lines of about this many bytes
+_READ_BYTES = 1 << 18
+# a block with a wider cell is read by the reference rule, row by row
+_MAX_CELL_BYTES = 64
+
+
+def _line_blocks(handle):
+    """The file's bytes as blocks of whole lines, about ``_READ_BYTES`` each.
+
+    A block ends after a newline, or after a carriage return whose next byte
+    is known, so no block splits a \\r\\n; only the last block may end
+    without a line end.
+    """
+    pending = []
+    while data := handle.read(_READ_BYTES):
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        if cut:
+            pending.append(data[:cut])
+            yield b"".join(pending)
+            pending = []
+        pending.append(data[cut:])
+    if tail := b"".join(pending):
+        yield tail
+
+
+def _line_spans(buf: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each physical line of the block ``buf[:size]`` starts and where
+    its line end (\\n, \\r\\n or a lone \\r) or the block's end is; ``buf``
+    carries at least one zero byte past ``size``."""
+    breaks = np.flatnonzero((buf == 10) | (buf == 13))
+    # the \\n of a \\r\\n ends no line of its own
+    crlf = (buf[breaks] == 10) & (buf[breaks - 1] == 13)
+    ends = breaks[~crlf] if crlf.any() else breaks
+    starts = np.concatenate(([0], ends + 1 + ((buf[ends] == 13) & (buf[ends + 1] == 10))))
+    if starts[-1] < size:  # the last line has no line end
+        return starts, np.append(ends, size)
+    return starts[:-1], ends
+
+
+def _lines_before(block: bytes, offset: int) -> bytes:
+    """The whole lines of ``block`` that end before byte ``offset``."""
+    return block[:max(block.rfind(b"\n", 0, offset), block.rfind(b"\r", 0, offset)) + 1]
+
+
+def _cell_values(cells: np.ndarray) -> np.ndarray | None:
+    """The float of each cell of a 1-D ``S`` array (NaN for an empty or ``NA``
+    cell), or None if a cell is no finite number or numpy's cast refuses it.
+
+    numpy casts a string with CPython's correctly rounded parser, so an
+    accepted cell has the bits ``float`` gives it.
+    """
+    cells = np.char.strip(cells)
+    missing = (cells == b"") | (cells == b"NA")
+    cells[missing] = b"0"
+    try:
+        values = cells.astype(np.float64)
+    except ValueError:
+        return None
+    values[missing] = math.nan
+    return values if (np.isfinite(values) | missing).all() else None
+
+
+class _ColumnReader:
+    """The state of one pass over a CSV file: its header, its columns and
+    the physical lines read so far."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.header: list[str] | None = None
+        self.columns: list[array] = []
+        self.lines = 0
+
+    def read(self, handle) -> None:
+        blocks = _line_blocks(handle)
+        for block in blocks:
+            if b'"' in block:
+                # a quoted cell may hold commas and line ends, and may span blocks
+                self._quoted(itertools.chain([block], blocks))
+                return
+            if not block.isascii():
+                try:
+                    block.decode()
+                except UnicodeDecodeError as exc:
+                    # the lines before the byte come first: a fault there is reported
+                    self._block(_lines_before(block, exc.start))
+                    raise
+            self._block(block)
+
+    def _block(self, block: bytes) -> None:
+        buf = np.frombuffer(block + bytes(_MAX_CELL_BYTES), np.uint8)
+        starts, ends = _line_spans(buf, len(block))
+        if b"\0" in block or not self._bulk(block, buf, starts, ends):
+            self._walk(io.StringIO(block.decode(), newline=""))
+        self.lines += len(ends)
+
+    def _bulk(self, block: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> bool:
+        """Read a block without quotes or NUL bytes in numpy, from its bytes
+        ``buf`` (padded with ``_MAX_CELL_BYTES`` zeros) and its line spans;
+        False, with nothing taken, if the block needs the reference rule: a
+        fault, a cell numpy's cast refuses, or a cell over ``_MAX_CELL_BYTES``."""
+        kept = (ends > starts) & (buf[starts] != ord("#"))
+        starts, ends = starts[kept], ends[kept]
+        header = self.header
+        if header is None:
+            if not len(starts):
+                return True
+            header = block[starts[0]:ends[0]].decode().split(",")
+            if max(map(len, header)) > csv.field_size_limit():
+                return False
+            starts, ends = starts[1:], ends[1:]
+        k = len(header)
+        commas = np.flatnonzero(buf == ord(","))
+        first = np.searchsorted(commas, starts)
+        if (np.searchsorted(commas, ends) - first != k - 1).any():
+            return False
+        inner = commas[first[:, None] + np.arange(k - 1)]
+        values = []
+        for j in range(k):
+            cell_starts = starts if j == 0 else inner[:, j - 1] + 1
+            width = (ends if j == k - 1 else inner[:, j]) - cell_starts
+            longest = max(int(width.max(initial=0)), 1)
+            if longest > _MAX_CELL_BYTES:
+                return False
+            # each cell's bytes from its start, those past its end cleared by
+            # row w of a mask table whose row w keeps the first w bytes
+            cells = np.lib.stride_tricks.sliding_window_view(buf, longest)[cell_starts]
+            cells &= (np.tri(longest + 1, longest, -1, np.uint8) * np.uint8(255))[width]
+            column = _cell_values(cells.view(f"S{longest}")[:, 0])
+            if column is None:
+                return False
+            values.append(column)
+        if self.header is None:
+            self._set_header(header)
+        for column, part in zip(self.columns, values):
+            column.frombytes(part.view(np.uint8))
+        return True
+
+    def _quoted(self, blocks) -> None:
+        """Read the rest of the file by the reference rule; ``csv.reader`` is
+        the only tokenizer here for quoted and multi-line cells."""
+
+        def lines():
+            for block in blocks:
+                try:
+                    text = block.decode()
+                except UnicodeDecodeError as exc:
+                    yield from io.StringIO(_lines_before(block, exc.start).decode(), newline="")
+                    raise
+                yield from io.StringIO(text, newline="")
+
+        self._walk(lines())
+
+    def _walk(self, lines) -> None:
+        """Read ``lines``, which start after the physical lines read so far,
+        by the reference rule, row by row of ``csv.reader``."""
+        reader = csv.reader(lines)
+        try:
+            for row in reader:
+                self._row(self.lines + reader.line_num, row)
+        except csv.Error as exc:  # such as a cell over the csv module's field size limit
+            raise CliInputError(f"{self.path}:{self.lines + reader.line_num}: {exc}") from exc
+
+    def _set_header(self, row: list[str]) -> None:
+        header = [name.strip() for name in row]
+        if len(set(header)) != len(header):
+            raise CliInputError(f"{self.path}: duplicate column names in header")
+        self.header = header
+        self.columns = [array("d") for _ in header]
+
+    def _row(self, line: int, row: list[str]) -> None:
+        """The reference rule for one row of ``csv.reader``: skip blank and
+        comment rows, take the first other row as the header, then strip each
+        cell, read "" and NA as missing and ``float`` the rest, which must be
+        finite. It raises at the row's first fault."""
+        if not row or row[0].startswith("#"):
+            return
+        if self.header is None:
+            self._set_header(row)
+            return
+        if len(row) != len(self.header):
+            raise CliInputError(
+                f"{self.path}:{line}: expected {len(self.header)} fields, got {len(row)}"
+            )
+        for column, cell in zip(self.columns, row):
+            cell = cell.strip()
+            if cell == "" or cell == "NA":
+                column.append(math.nan)
+                continue
+            try:
+                value = float(cell)
+            except ValueError as exc:
+                raise CliInputError(f"{self.path}:{line}: non-numeric value {cell!r}") from exc
+            if not math.isfinite(value):
+                raise CliInputError(f"{self.path}:{line}: non-finite value {cell!r}")
+            column.append(value)
 
 
 def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
-    header = None
+    """The header and the columns of a CSV file, each a contiguous float64 array.
+
+    Blocks of whole lines without a quote are split at their line ends and
+    commas in numpy, and each column's cells are converted by one string cast.
+    Where this finds a fault, or a cell numpy refuses (Unicode digits, say),
+    the block is read again by the reference rule (``_ColumnReader._row``),
+    which names the first fault. From the first quote on, every row goes
+    through ``csv.reader`` and the reference rule.
+    """
+    table = _ColumnReader(path)
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            for row in reader:
-                if not row or row[0].startswith("#"):
-                    continue
-                if header is None:
-                    header = [name.strip() for name in row]
-                    if len(set(header)) != len(header):
-                        raise CliInputError(f"{path}: duplicate column names in header")
-                    columns = [array("d") for _ in header]
-                    continue
-                if len(row) != len(header):
-                    raise CliInputError(
-                        f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                    )
-                for column, cell in zip(columns, row):
-                    cell = cell.strip()
-                    if cell == "" or cell == "NA":
-                        column.append(math.nan)
-                        continue
-                    try:
-                        value = float(cell)
-                    except ValueError as exc:
-                        raise CliInputError(
-                            f"{path}:{reader.line_num}: non-numeric value {cell!r}"
-                        ) from exc
-                    if not math.isfinite(value):
-                        raise CliInputError(f"{path}:{reader.line_num}: non-finite value {cell!r}")
-                    column.append(value)
+        with open(path, "rb") as handle:
+            table.read(handle)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except csv.Error as exc:  # such as a cell over the csv module's field size limit
-        raise CliInputError(f"{path}:{reader.line_num}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise CliInputError(
             f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})"
         ) from exc
-    if header is None:
+    if table.header is None:
         raise CliInputError(f"{path}: empty file")
-    if not columns[0]:
+    if not table.columns[0]:
         raise CliInputError(f"{path}: no data rows")
-    return header, {name: np.frombuffer(column) for name, column in zip(header, columns)}
+    return table.header, {name: np.frombuffer(column)
+                          for name, column in zip(table.header, table.columns)}
+
+
 
 
 @contextlib.contextmanager
@@ -535,7 +717,7 @@ def _cmd_density(args: argparse.Namespace, argv: list[str]) -> int:
         _require_columns(ref_header, [args.column], ref_path)
         row_mask = np.isnan(ref_data[args.column])
 
-    labels = args.labels.split(",") if args.labels else [p.stem for p in paths]
+    labels = _name_list(args.labels, "--labels") if args.labels else [p.stem for p in paths]
     if len(labels) != len(paths):
         raise CliInputError("need exactly one label per input file")
 

@@ -44,7 +44,10 @@ the lines of the failure rules: ``ri_impute`` on the test suite's perfectly
 separated 60-row data (drawn from ``RngStream(8, 0)``), where no selection fit
 converges and every sweep takes the zero-shift fallback, and the exit code and
 stderr of ``impute`` (ri, mar and cc) and ``density`` (as input and as
-``--only-missing-from``) on a file with a header and no data rows.
+``--only-missing-from``) on a file with a header and no data rows. Last, after
+the ``density_summary`` lines, comes the digest of the columns
+``read_csv_columns`` returns for a 24 000-row file that spans several of its
+read blocks.
 """
 
 from __future__ import annotations
@@ -406,6 +409,31 @@ def failure_rule_lines() -> list[str]:
     return lines
 
 
+def large_reader_line() -> str:
+    """The columns ``read_csv_columns`` returns for a file of several read
+    blocks (about 1.4 MB): comment, blank and padded lines, ``NA`` and empty
+    cells, ``%.15g`` and ``%.17g`` cells, and \\n and \\r\\n line ends."""
+    rng = np.random.default_rng(18)
+    n = 24_000
+    values = rng.normal(0.0, 1.0, (n, 3)) * 10.0 ** rng.integers(-6, 7, (n, 3))
+    lines = ["# several blocks", "a,b,c"]
+    for i, row in enumerate(values.tolist()):
+        cells = [f"{v:.17g}" if (i + j) % 2 else f"{v:.15g}" for j, v in enumerate(row)]
+        if i % 5 == 0:
+            cells[i % 3] = "NA" if i % 10 else ""
+        if i % 7 == 0:
+            cells = [f"  {cell} " for cell in cells]
+        lines.append(",".join(cells) + ("\r" if i % 3 == 0 else ""))
+        if i % 11 == 0:
+            lines.append("# comment, 1, 2" if i % 22 else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "large.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+        header, columns = read_csv_columns(path)
+    return (f"read_csv_columns n={n} {','.join(header)} "
+            f"{_sha(*(columns[name] for name in header))}")
+
+
 def density_lines() -> list[str]:
     lines = []
     for n in DENSITY_SIZES:
@@ -424,4 +452,5 @@ if __name__ == "__main__":
     print(large_cli_line())
     for line in pool_size_lines() + reader_digests() + failure_rule_lines() + density_lines():
         print(line)
+    print(large_reader_line())
     sys.exit(0)

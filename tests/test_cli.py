@@ -206,8 +206,10 @@ TWO_FAULTS = b"y,z\n1,zz\n" + b"".join(b"%d,%d\n" % (i, i) for i in range(3000))
     (b'# c\ny,z\n1,"2\n\n"\n3,4,5\n', "{path}:6: expected 2 fields, got 3"),
     # the first fault in file order wins over a UTF-8 fault past the first decoded chunk
     (TWO_FAULTS, "{path}:2: non-numeric value 'zz'"),
+    # ... and over one in the same block, read after the lines before it
+    (b"y,z\n1,zz\n2,3\n\xff\n", "{path}:2: non-numeric value 'zz'"),
 ], ids=["empty", "comments-only", "duplicate-header", "header-only",
-        "fields-after-multi-line-cell", "first-fault-wins"])
+        "fields-after-multi-line-cell", "first-fault-wins", "first-fault-wins-same-block"])
 def test_reader_exits_2(tmp_path, capsys, content, message):
     path = tmp_path / "in.csv"
     path.write_bytes(content)
@@ -695,6 +697,35 @@ def test_density_identical_groups_identical_curves(tmp_path):
     a = [(r[0], r[1]) for r in rows if r[2] == "a"]
     b = [(r[0], r[1]) for r in rows if r[2] == "b"]
     assert a == b
+
+
+def test_density_labels_are_a_name_list(tmp_path, capsys):
+    """--labels is stripped and its empty labels dropped, like the column
+    lists, and a label named twice exits 2, since its two curves could not be
+    told apart in the output."""
+    values = RngStream(93, 0).generator.standard_normal(500)
+    p1, p2 = tmp_path / "g1.csv", tmp_path / "g2.csv"
+    write_csv(p1, ["v"], {"v": values})
+    write_csv(p2, ["v"], {"v": values + 1.0})
+    out = tmp_path / "density.csv"
+    assert main(["density", str(p1), str(p2), "--column", "v",
+                 "--labels", " ri , mar ", "--output", str(out)]) == 0
+    groups = [line.split(",")[2] for line in out.read_text().splitlines()
+              if line and not line.startswith("#")][1:]
+    assert groups == ["ri"] * 512 + ["mar"] * 512
+    out.unlink()
+    capsys.readouterr()
+    assert main(["density", str(p1), str(p2), "--column", "v",
+                 "--labels", "ri, ri", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --labels names ri more than once\n"
+    # an empty label is dropped: two labels for two files, one for three
+    assert main(["density", str(p1), str(p2), "--column", "v",
+                 "--labels", "ri,,mar,", "--output", str(out)]) == 0
+    out.unlink()
+    assert main(["density", str(p1), str(p2), str(p1), "--column", "v",
+                 "--labels", "ri,,mar", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("error: need exactly one label per input file\n")
+    assert not out.exists()
 
 
 def test_density_constant_group_exits_3(tmp_path):
