@@ -12,7 +12,6 @@ Monte Carlo harness for bias and coverage studies are included.
 __version__ = "0.1.0"
 
 from .errors import (
-    DegenerateRdot,
     DegenerateSample,
     DimensionMismatch,
     InvalidParameter,
@@ -27,9 +26,6 @@ from .imputation import (
     IncompleteDataset,
     RiConfig,
     complete_case,
-    draw_psi_posterior,
-    estimate_adjustment,
-    impute_given_rdot,
     mar_impute,
     ri_impute,
 )
@@ -74,7 +70,6 @@ __all__ = [
     "__version__",
     "AnalysisFit",
     "BETA_SETTINGS",
-    "DegenerateRdot",
     "DegenerateSample",
     "DensitySummary",
     "DimensionMismatch",
@@ -99,13 +94,10 @@ __all__ = [
     "complete_case",
     "coverage",
     "density_summary",
-    "draw_psi_posterior",
-    "estimate_adjustment",
     "fit_analysis",
     "format_result_table",
     "generate_complete_data",
     "generate_missingness",
-    "impute_given_rdot",
     "logistic_fit",
     "mar_impute",
     "mix_stream_id",

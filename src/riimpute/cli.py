@@ -89,7 +89,9 @@ def _make_record(argv: list[str], seed: int, input_paths: list[Path]) -> CliRunR
     digest = hashlib.sha256()
     for path in input_paths:
         try:
-            digest.update(path.read_bytes())
+            with path.open("rb") as handle:
+                while chunk := handle.read(_READ_BYTES):
+                    digest.update(chunk)
         except OSError as exc:
             raise CliInputError(f"cannot read {path}: {exc}") from exc
     return CliRunRecord(
@@ -130,7 +132,8 @@ def _resolve_seed(value: int | None) -> int:
 # multi-line quoted lines count. A file with a header but no data rows is
 # refused after the pass.
 
-# the reader takes the file in blocks of whole lines of about this many bytes
+# the reader takes the file in blocks of whole lines of about this many bytes,
+# and the input digest hashes it in chunks of this many
 _READ_BYTES = 1 << 18
 # a block with a wider cell is read by the reference rule, row by row
 _MAX_CELL_BYTES = 64

@@ -25,10 +25,6 @@ class NonConvergence(RiImputeError):
     """Iterative fit failed to converge within the iteration budget."""
 
 
-class DegenerateRdot(RiImputeError):
-    """The drawn pseudo response indicator is constant among observed rows."""
-
-
 class TooFewRows(RiImputeError):
     """Not enough rows to perform the requested fit or imputation."""
 

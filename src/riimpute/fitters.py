@@ -67,6 +67,9 @@ def _as_design(design, response, response_name: str):
         raise DimensionMismatch(
             f"design has {design.shape[0]} rows but {response_name} has length {response.shape[0]}"
         )
+    for name, values in (("design", design), (response_name, response)):
+        if not np.isfinite(values).all():
+            raise InvalidParameter(f"{name} must contain only finite values")
     return design, response
 
 
@@ -160,7 +163,8 @@ def ols_fit(design, response) -> LinearFit:
     """Least squares fit of `response` on the columns of `design`.
 
     Raises RankDeficient when the Gram matrix design' design is numerically
-    singular (see ``_checked_inverse``).
+    singular (see ``_checked_inverse``), and InvalidParameter when the design
+    or the response holds a NaN or an infinity.
     """
     x, y = _as_design(design, response, "response")
     n, p = x.shape
@@ -285,39 +289,34 @@ def _irls(x, y: np.ndarray, beta: np.ndarray, work: np.ndarray):
     )
 
 
-def logistic_fit(design, indicator, start=None) -> LogisticFit:
-    """Logistic regression by iteratively reweighted least squares.
+def logistic_fit(design, indicator) -> LogisticFit:
+    """Logistic regression by iteratively reweighted least squares from zero.
 
     Newton steps with step halving, so the log likelihood never decreases.
     Raises Separation once any coefficient passes ``IRLS_COEF_CAP`` in
     magnitude, NonConvergence after ``IRLS_MAX_ITER`` iterations, and
     RankDeficient when the information matrix at the estimate is singular.
-
-    ``start`` (one value per design column, default zeros) is where the
-    iterations begin; a caller refitting the same model on slightly changed
-    data passes its previous estimate to save iterations. A fit from a
-    nonzero start that separates or does not converge is refitted once from
-    zero, so a start changes the cost of a fit but not whether it succeeds.
-    ``iterations`` counts the iterations of both attempts.
+    A NaN or infinite cell raises InvalidParameter, like any indicator value
+    other than 0 and 1.
     """
     x, y = _as_design(design, indicator, "indicator")
     if not (np.all((y == 0) | (y == 1)) and y.min() == 0 and y.max() == 1):
         raise InvalidParameter("indicator must contain both 0s and 1s and nothing else")
-    p = x.shape[1]
-    start = np.zeros(p) if start is None else np.asarray(start, dtype=float)
-    if start.shape != (p,):
-        raise DimensionMismatch(f"start has shape {start.shape}, expected ({p},)")
-    if not np.all(np.isfinite(start)):
-        raise InvalidParameter("start must be finite")
-    return _logistic(x, y, start)
+    return _logistic(x, y, np.zeros(x.shape[1]))
 
 
 def _logistic(x, y: np.ndarray, start: np.ndarray,
               work: np.ndarray | None = None) -> LogisticFit:
-    """Kernel of ``logistic_fit`` for arguments that pass its checks.
+    """Kernel of ``logistic_fit`` for arguments that pass its checks, with the
+    iterations starting at ``start``, one finite value per design column.
 
-    ``work`` is ``_irls``'s scratch; a caller fitting the same design again
-    and again passes its own, so the fits allocate no n-vector.
+    A caller refitting the same model on slightly changed data passes its
+    previous estimate to save iterations. A fit from a nonzero start that
+    separates or does not converge is refitted once from zero, so a start
+    changes the cost of a fit but not whether it succeeds. ``iterations``
+    counts the iterations of both attempts. ``work`` is ``_irls``'s scratch;
+    a caller fitting the same design again and again passes its own, so the
+    fits allocate no n-vector.
     """
     work = _irls_work(x) if work is None else work
     beta, mu, iterations, error = _irls(x, y, start, work)

@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateRdot, DimensionMismatch, InvalidParameter, NonConvergence,
-                     Separation, TooFewRows)
-from .fitters import (_EINSUM_ROWS, LinearFit, _Columns, _irls_work, _logistic, _matvec, _ols,
-                      logistic_fit)
-from .mechanism import NonresponseParams, _probability
+from .errors import DimensionMismatch, InvalidParameter, NonConvergence, Separation, TooFewRows
+from .fitters import _EINSUM_ROWS, LinearFit, _Columns, _irls_work, _logistic, _matvec, _ols
+from .mechanism import _probability
 from .rng import RngStream, _bernoulli, _mvnormal, mix_stream_id, sample_scaled_inv_chi2
 
 logger = logging.getLogger(__name__)
@@ -145,27 +143,18 @@ class RiConfig:
             raise InvalidParameter("iterations and num_imputations must be >= 1")
 
 
-def estimate_adjustment(data: IncompleteDataset, rdot) -> LinearFit:
-    """Fit the observed-part regression with the pseudo-indicator offset.
+def _adjustment_fit(data: IncompleteDataset, rdot: np.ndarray,
+                    design: np.ndarray) -> LinearFit | None:
+    """The observed-rows regression with the pseudo-indicator offset, or None
+    when ``rdot`` is constant among the observed rows.
 
-    Regresses the observed target on intercept, covariates, and (rdot - 1);
-    the last coefficient, on (rdot - 1), is the estimated shift ``delta_adj``.
-    Raises DegenerateRdot when rdot is constant among the observed rows.
+    Regresses the observed target on intercept, covariates and rdot - 1,
+    which it writes into ``design``'s last column; the last coefficient is the
+    estimated shift ``delta_adj``.
     """
-    rdot = np.asarray(rdot)
-    if rdot.ndim != 1 or not np.all((rdot == 0) | (rdot == 1)):
-        raise InvalidParameter("indicator must be a 1-d vector of 0s and 1s")
-    if len(rdot) != data.n:
-        raise DimensionMismatch(f"indicator has length {len(rdot)}, expected {data.n}")
-    design = np.column_stack([data._observed_design, np.zeros(data.n_observed)])
-    return _adjustment_fit(data, rdot, design)
-
-
-def _adjustment_fit(data: IncompleteDataset, rdot: np.ndarray, design: np.ndarray) -> LinearFit:
-    """Kernel of ``estimate_adjustment``; it fills ``design``'s last column with rdot - 1."""
     rdot_obs = rdot[data._observed_rows]
     if rdot_obs.size == 0 or rdot_obs.min() == rdot_obs.max():
-        raise DegenerateRdot("pseudo indicator is constant among observed rows")
+        return None
     data.require_fittable(data.n_covariates + 2)
     design[:, -1] = rdot_obs - 1.0
     return _ols(design, data._observed_target)
@@ -205,35 +194,6 @@ def _impute_draw(data: IncompleteDataset, design, fit: LinearFit, rng: RngStream
     completed = data.target.copy() if out is None else out
     completed[mis] = means
     return completed
-
-
-def impute_given_rdot(data: IncompleteDataset, rdot, rng: RngStream) -> np.ndarray:
-    """Impute the missing target values for a fixed pseudo indicator.
-
-    Estimates the shift ``delta_adj`` from the observed rows with
-    ``estimate_adjustment`` and draws the imputations around
-    ``z.phi + delta_adj * (rdot - 2)``: the shift applied once for
-    pseudo-observed rows and twice for pseudo-missing rows.
-    """
-    return _impute_draw(data, data._missing_design, estimate_adjustment(data, rdot), rng, rdot)
-
-
-def draw_psi_posterior(
-    completed_target, covariates, r, rng: RngStream, start: NonresponseParams | None = None
-) -> NonresponseParams:
-    """Fit the selection model of ``r`` on the completed data and draw its coefficients.
-
-    The draw is normal around the maximum likelihood estimate with the inverse
-    Fisher information as covariance. ``start``, typically the previous sweep's
-    draw, is where the fit's iterations begin (see ``logistic_fit``).
-    """
-    design = np.column_stack([np.ones(len(completed_target)), completed_target, covariates])
-    if start is not None:
-        start = np.r_[start.psi0, start.psi1, start.psi_z]
-    fit = logistic_fit(design, r, start=start)
-    # like every covariance fitters return, fit.covariance is exactly symmetric
-    draw = _mvnormal(fit.coefficients, fit.covariance, rng)
-    return NonresponseParams(psi0=draw[0], psi1=draw[1], psi_z=draw[2:])
 
 
 def _mar_fit(data: IncompleteDataset) -> LinearFit:
@@ -297,8 +257,10 @@ def ri_impute(
     warnings are logged in chain order, and the first failing chain's error
     is raised, after the warnings of the chains before it.
 
-    The sweeps run the kernels of the public steps without their argument
-    checks: every array they get is built here from the checked dataset.
+    The sweeps run private kernels without argument checks: every array they
+    get is built here from the checked dataset. ``tests/ri_step_oracle.py``
+    rebuilds the same loop from checked steps and matches its draws bit for
+    bit.
     """
     k = data.n_covariates
     cols = list(range(k)) if nonresponse_columns is None else list(nonresponse_columns)
@@ -409,12 +371,10 @@ def _chain(data: IncompleteDataset, config: RiConfig, z_nr, response: np.ndarray
             raise InvalidParameter("nonresponse coefficients must be finite")
         for _ in range(MAX_RDOT_REDRAWS + 1):
             rdot = _bernoulli(_probability(psi_dot, completed, z_nr, work), rng, out=work[-1])
-            try:
-                adjustment = _adjustment_fit(data, rdot, adjustment_design)
-            except DegenerateRdot:
-                continue
-            _impute_draw(data, missing_design, adjustment, rng, rdot, out=completed)
-            break
+            adjustment = _adjustment_fit(data, rdot, adjustment_design)
+            if adjustment is not None:
+                _impute_draw(data, missing_design, adjustment, rng, rdot, out=completed)
+                break
         else:
             warnings.append(("pseudo indicator degenerate after %d redraws; sweep uses zero shift",
                              MAX_RDOT_REDRAWS))

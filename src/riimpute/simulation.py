@@ -276,8 +276,13 @@ def format_result_table(results: list[ScenarioResult], header_lines: tuple[str, 
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
-    """0.9 * min(sd, IQR / 1.34) * n^(-1/5), guarding the degenerate pieces."""
+    """0.9 * min(sd, IQR / 1.34) * n^(-1/5), guarding the degenerate pieces.
+
+    A NaN or an infinity raises InvalidParameter.
+    """
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise InvalidParameter("bandwidth needs finite values")
     sd = float(values.std(ddof=1))
     q75, q25 = np.percentile(values, [75, 25])
     iqr = float(q75 - q25)

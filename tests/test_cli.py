@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -15,6 +16,7 @@ from riimpute import (
     RngStream,
     generate_missingness,
 )
+from riimpute import cli
 from riimpute.cli import build_parser, main, read_csv_columns
 
 
@@ -458,6 +460,29 @@ def test_impute_byte_identical_reruns(tmp_path):
         a = (tmp_path / f"a{suffix}").read_bytes()
         b = (tmp_path / f"b{suffix}").read_bytes()
         assert a.replace(b"/a", b"/b") == b or a == b  # paths differ only in the header
+
+
+def test_input_digest_is_the_sha256_of_the_inputs(tmp_path, monkeypatch):
+    # the inputs are hashed in chunks; 1000 bytes splits each file many times
+    monkeypatch.setattr(cli, "_READ_BYTES", 1000)
+    csv_path, other = tmp_path / "data.csv", tmp_path / "other.csv"
+    mnar_csv(csv_path, n=300)
+    mnar_csv(other, seed=6, n=200)
+
+    def digest_line(path):
+        return next(line for line in path.read_text().splitlines()
+                    if line.startswith("# input-sha256: "))
+
+    assert main(["impute", str(csv_path), "--target", "x1", "--covariates", "x2,x3",
+                 "--method", "mar", "-m", "2", "--output-prefix", str(tmp_path / "out")]) == 0
+    expected = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    for k in (1, 2):
+        assert digest_line(tmp_path / f"out_imp{k}.csv") == f"# input-sha256: {expected}"
+    out = tmp_path / "density.csv"
+    assert main(["density", str(csv_path), str(other), "--column", "x2",
+                 "--labels", "a,b", "--output", str(out)]) == 0
+    expected = hashlib.sha256(csv_path.read_bytes() + other.read_bytes()).hexdigest()
+    assert digest_line(out) == f"# input-sha256: {expected}"
 
 
 def test_seed_env_var_override(tmp_path, monkeypatch):

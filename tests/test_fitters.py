@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit
 
 from riimpute.fitters import (IRLS_COEF_CAP, _Columns, _information, _irls, _irls_work,
-                              _mu_loglik, _ols)
+                              _logistic, _mu_loglik, _ols)
 
 from riimpute import (
     DimensionMismatch,
@@ -161,6 +161,26 @@ def test_zero_column_design_raises_dimension_mismatch(fitter, design, response):
         fitter(design, response)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["design", "response"])
+def test_fitters_reject_non_finite_input(where, bad):
+    gen = RngStream(330, 0).generator
+    z = gen.normal(0, 1, (40, 2))
+    y = z.sum(axis=1) + gen.standard_normal(40)
+    r = (gen.random(40) < 0.5).astype(float)
+    if where == "design":
+        z[3, 1] = bad
+    else:
+        y[3] = r[3] = bad
+    x = np.column_stack([np.ones(40), z])
+    calls = [(ols_fit, (x, y), where), (fit_analysis, (z, y), where),
+             (logistic_fit, (x, r), "design" if where == "design" else "indicator")]
+    for fitter, args, name in calls:
+        with pytest.raises(InvalidParameter, match=f"^{name} must contain only finite values$"):
+            fitter(*args)
+
+
 # ---------------------------------------------------------------------------
 # logistic_fit
 
@@ -296,14 +316,15 @@ def test_columns_products_match_the_array_products(at):
 
 
 # ---------------------------------------------------------------------------
-# logistic_fit from a start
+# the selection fit from a start: fitters._logistic, the kernel ri_impute runs
 
 
 @pytest.fixture(scope="module")
 def well_posed():
     gen = RngStream(321, 0).generator
     x = np.column_stack([np.ones(500), gen.normal(0, 1, 500), gen.normal(1, 2, 500)])
-    y = (gen.random(500) < expit(x @ np.array([-0.5, 1.0, 0.3]))).astype(int)
+    # float, as logistic_fit passes it to the kernel that the warm starts call
+    y = (gen.random(500) < expit(x @ np.array([-0.5, 1.0, 0.3]))).astype(float)
     return x, y, logistic_fit(x, y)
 
 
@@ -318,7 +339,7 @@ def test_logistic_start_reaches_the_cold_fit(well_posed, name):
         "far": np.array([-14.0, 14.0, -14.0]),
     }[name]
     assert np.abs(start).max() <= IRLS_COEF_CAP
-    fit = logistic_fit(x, y, start=start)
+    fit = _logistic(x, y, start)
     assert np.abs(fit.coefficients - mle).max() <= 1e-10
     assert np.abs(fit.covariance - cold.covariance).max() <= 1e-12
 
@@ -326,7 +347,7 @@ def test_logistic_start_reaches_the_cold_fit(well_posed, name):
 def test_logistic_start_at_mle_converges_at_once(well_posed):
     x, y, cold = well_posed
     assert cold.iterations > 2
-    assert logistic_fit(x, y, start=cold.coefficients).iterations <= 2
+    assert _logistic(x, y, cold.coefficients).iterations <= 2
 
 
 def test_logistic_start_past_cap_retries_cold(well_posed):
@@ -335,18 +356,10 @@ def test_logistic_start_past_cap_retries_cold(well_posed):
     # the first step from this start overshoots the cap on data that do not separate
     *_, warm_iterations, error = _irls(x, y, start, _irls_work(x))
     assert isinstance(error, Separation)
-    fit = logistic_fit(x, y, start=start)
+    fit = _logistic(x, y, start)
     assert np.array_equal(fit.coefficients, cold.coefficients)
     assert np.array_equal(fit.covariance, cold.covariance)
     assert fit.iterations == warm_iterations + cold.iterations
-
-
-def test_logistic_start_validated(well_posed):
-    x, y, _ = well_posed
-    with pytest.raises(DimensionMismatch):
-        logistic_fit(x, y, start=np.zeros(2))
-    with pytest.raises(InvalidParameter):
-        logistic_fit(x, y, start=[np.nan, 0.0, 0.0])
 
 
 # seed 0: the information matrix is exactly singular in floating point;

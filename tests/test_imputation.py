@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riimpute import (
-    DegenerateRdot,
     DimensionMismatch,
     IncompleteDataset,
     InvalidParameter,
@@ -25,10 +24,7 @@ from riimpute import (
     TooFewRows,
     builtin_scenario,
     complete_case,
-    draw_psi_posterior,
-    estimate_adjustment,
     generate_missingness,
-    impute_given_rdot,
     logistic_fit,
     mar_impute,
     mix_stream_id,
@@ -42,6 +38,7 @@ from riimpute import (
 )
 
 import riimpute.imputation as imputation
+from ri_step_oracle import DegenerateRdot, draw_psi_posterior, estimate_adjustment, impute_given_rdot
 from selection_oracle import cell_means, sample_selection_population
 
 
@@ -479,7 +476,8 @@ DEGENERATE = "pseudo indicator degenerate after 5 redraws; sweep uses zero shift
 
 
 def _reference_chains(data, config, columns):
-    """ri_impute built only from the public steps: completions, warnings, rdot redraws."""
+    """ri_impute built from the steps of ``ri_step_oracle`` and the public API:
+    completions, warnings, rdot redraws."""
     z_nr = data.covariates[:, list(columns)]
     obs = data.observed_mask
     completions, messages, redraws = [], [], 0
@@ -576,17 +574,6 @@ def test_ri_rejects_bad_nonresponse_columns(columns):
     data = _mnar_dataset(53, n=60)[0]
     with pytest.raises(InvalidParameter, match="nonresponse column"):
         ri_impute(data, RiConfig(iterations=1, num_imputations=1), nonresponse_columns=columns)
-
-
-def test_draw_psi_posterior_still_checks_its_arguments(rng):
-    # ri_impute's sweeps skip these checks; the public step keeps them
-    data = _mnar_dataset(54, n=60)[0]
-    x = np.where(data.observed_mask, data.target, 0.0)
-    r = data.observed_mask.astype(np.int8)
-    with pytest.raises(InvalidParameter, match="0s and 1s"):
-        draw_psi_posterior(x, data.covariates, np.where(r == 1, 2, 0), rng)
-    with pytest.raises(DimensionMismatch, match="start"):
-        draw_psi_posterior(x, data.covariates, r, rng, start=NonresponseParams(0.0, 0.0, [0.0]))
 
 
 def test_nan_response_probabilities_raise(rng):

@@ -4,13 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from riimpute import (
     DimensionMismatch,
-    IncompleteDataset,
     InvalidParameter,
     NonresponseParams,
     RngStream,
-    estimate_adjustment,
     generate_missingness,
-    impute_given_rdot,
     response_probability,
 )
 
@@ -102,22 +99,6 @@ def test_nonresponse_params_validation():
         NonresponseParams(np.inf, 0.0)
     params = NonresponseParams(-2, 1.5, [0.25])
     assert (params.psi0, params.psi1, params.psi_z.tolist()) == (-2.0, 1.5, [0.25])
-
-
-def test_response_indicator_validation(rng):
-    # indicators are plain 0/1 vectors, checked by the functions that take them
-    data = IncompleteDataset(np.array([1.0, 2.0, 3.0, 4.0, np.nan]), np.zeros((5, 0)))
-    with pytest.raises(InvalidParameter):
-        estimate_adjustment(data, [1, 0, 1, 2, 0])
-    with pytest.raises(InvalidParameter):
-        impute_given_rdot(data, np.array([[1, 0, 1, 0, 1]]), rng)
-    with pytest.raises(DimensionMismatch):
-        estimate_adjustment(data, [1, 0, 1])
-    with pytest.raises(DimensionMismatch):
-        impute_given_rdot(data, [1, 0, 1, 0, 1, 0], rng)
-    # lists, booleans and any integer type are accepted as they are
-    assert estimate_adjustment(data, [1, 0, 1, 0, 1]).n_params == 2
-    assert estimate_adjustment(data, np.array([True, False, True, False, True])).n_params == 2
 
 
 # ---------------------------------------------------------------------------

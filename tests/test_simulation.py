@@ -305,6 +305,15 @@ def test_silverman_bandwidth_scale():
     assert abs(h - 0.9 * 100_000 ** (-0.2)) < 0.01
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bandwidth_rejects_non_finite_values(bad):
+    with pytest.raises(InvalidParameter, match="^bandwidth needs finite values$"):
+        silverman_bandwidth([1.0, 2.0, 4.0, bad])
+    with pytest.raises(InvalidParameter, match="^bandwidth needs finite values$"):
+        density_summary([1.0, 2.0, bad])
+
+
 # ---------------------------------------------------------------------------
 # scenario files
 
