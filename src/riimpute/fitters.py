@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import DimensionMismatch, InvalidParameter, NonConvergence, RankDeficient, Separation
 
@@ -25,6 +26,37 @@ _RANK_RTOL = 1e-10
 # rounding with the thread count, and its threads would compete with the
 # pool's; einsum sums in one fixed order on the calling thread.
 _EINSUM_ROWS = 10_000
+
+
+def _lapack(gufunc, signature: str, failure: str):
+    """``gufunc`` of numpy's private ``numpy.linalg._umath_linalg`` module, called
+    as the ``numpy.linalg`` wrapper that runs it calls it for float64 arrays.
+
+    The wrapper's argument conversion and checks cost 2-3 us per call on the
+    sweep's 3x3 to 5x5 matrices, longer than the LAPACK call itself. The
+    returned function skips them and sets the wrapper's error state for the
+    call: the invalid flag, which the gufunc raises when LAPACK fails, raises
+    ``LinAlgError(failure)``, and overflow, division and underflow are
+    ignored. As a decorator, ``np.errstate`` keeps that state per call, so the
+    chains' pool threads may call at once. The results are the wrapper's bits.
+    Only float64 arrays of the right shapes may be passed.
+    ``tests/test_numpy_linalg.py`` checks that numpy still has these gufuncs.
+    """
+    def fail(err, flag):
+        raise LinAlgError(failure)
+
+    @np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    def call(*arrays):
+        return gufunc(*arrays, signature=signature)
+
+    return call
+
+
+# np.linalg.solve (1-d right-hand side), inv, eigvalsh and eigh, lower triangle
+_solve = _lapack(_umath_linalg.solve1, "dd->d", "Singular matrix")
+_inv = _lapack(_umath_linalg.inv, "d->d", "Singular matrix")
+_eigvalsh = _lapack(_umath_linalg.eigvalsh_lo, "d->d", "Eigenvalues did not converge")
+_eigh = _lapack(_umath_linalg.eigh_lo, "d->dd", "Eigenvalues did not converge")
 
 
 @dataclass(frozen=True)
@@ -80,14 +112,16 @@ def _checked_inverse(matrix: np.ndarray, name: str) -> np.ndarray:
     ``matrix`` scaled to unit diagonal is below ``_RANK_RTOL``. The scaling
     makes the test independent of the units of each design column.
     """
-    scale = np.sqrt(np.diag(matrix))
-    smallest = np.linalg.eigvalsh(matrix / np.outer(scale, scale))[0] if scale.min() > 0 else 0.0
+    scale = np.sqrt(matrix.diagonal())
+    smallest = 0.0
+    if np.minimum.reduce(scale) > 0:
+        smallest = _eigvalsh(matrix / (scale[:, None] * scale))[0]
     if not smallest >= _RANK_RTOL:
         raise RankDeficient(
             f"{name} is singular: smallest eigenvalue {smallest:.3e} of its "
             f"unit-diagonal form is below {_RANK_RTOL:g}"
         )
-    inverse = np.linalg.inv(matrix)
+    inverse = _inv(matrix)
     return 0.5 * (inverse + inverse.T)
 
 
@@ -209,7 +243,8 @@ def _mu_loglik(x, y: np.ndarray, beta: np.ndarray, mu: np.ndarray,
     np.abs(eta, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    ll = _dot(y, eta) - np.maximum(eta, 0.0, out=mu).sum() - np.log1p(e, out=mu).sum()
+    ll = (_dot(y, eta) - np.add.reduce(np.maximum(eta, 0.0, out=mu))
+          - np.add.reduce(np.log1p(e, out=mu)))
     np.greater_equal(eta, 0.0, out=mu)
     np.maximum(mu, e, out=mu)
     e += 1.0
@@ -259,8 +294,8 @@ def _irls(x, y: np.ndarray, beta: np.ndarray, work: np.ndarray):
     for iterations in range(1, IRLS_MAX_ITER + 1):
         hessian = _information(x, mu, work)
         try:
-            step = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError:
+            step = _solve(hessian, grad)
+        except LinAlgError:
             step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
 
         # halve the step until the log likelihood stops decreasing; the slack
@@ -274,15 +309,15 @@ def _irls(x, y: np.ndarray, beta: np.ndarray, work: np.ndarray):
             if new_ll >= ll - slack:
                 break
             factor *= 0.5
-        delta = float(np.abs(candidate - beta).max())
+        delta = float(np.maximum.reduce(np.abs(candidate - beta)))
         beta, ll = candidate, new_ll
 
-        if np.abs(beta).max() > IRLS_COEF_CAP:
+        if np.maximum.reduce(np.abs(beta)) > IRLS_COEF_CAP:
             return beta, mu, iterations, Separation(
                 f"coefficient magnitude exceeded {IRLS_COEF_CAP:g} after {iterations} iterations"
             )
         grad = _rmatvec(x, np.subtract(y, mu, out=work[0]))
-        if delta < IRLS_TOL and np.abs(grad).max() <= 1e-6:
+        if delta < IRLS_TOL and np.maximum.reduce(np.abs(grad)) <= 1e-6:
             return beta, mu, iterations, None
     return beta, mu, IRLS_MAX_ITER, NonConvergence(
         f"IRLS did not converge within {IRLS_MAX_ITER} iterations"

@@ -153,7 +153,7 @@ def _adjustment_fit(data: IncompleteDataset, rdot: np.ndarray,
     estimated shift ``delta_adj``.
     """
     rdot_obs = rdot[data._observed_rows]
-    if rdot_obs.size == 0 or rdot_obs.min() == rdot_obs.max():
+    if rdot_obs.size == 0 or np.minimum.reduce(rdot_obs) == np.maximum.reduce(rdot_obs):
         return None
     data.require_fittable(data.n_covariates + 2)
     design[:, -1] = rdot_obs - 1.0
@@ -367,7 +367,7 @@ def _chain(data: IncompleteDataset, config: RiConfig, z_nr, response: np.ndarray
             _impute_draw(data, missing_design, _mar_fit(data), rng, out=completed)
             continue
         psi_dot = _mvnormal(fit.coefficients, fit.covariance, rng)
-        if not np.isfinite(psi_dot).all():  # the check NonresponseParams makes
+        if not np.logical_and.reduce(np.isfinite(psi_dot)):  # the check NonresponseParams makes
             raise InvalidParameter("nonresponse coefficients must be finite")
         for _ in range(MAX_RDOT_REDRAWS + 1):
             rdot = _bernoulli(_probability(psi_dot, completed, z_nr, work), rng, out=work[-1])

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
+from .fitters import _eigh
 
 _U64 = 2**64
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -89,11 +90,11 @@ def _mvnormal(mean: np.ndarray, cov: np.ndarray, rng: RngStream) -> np.ndarray:
     """Kernel of ``sample_mvnormal`` for an exactly symmetric covariance, which
     its symmetrization leaves unchanged bit for bit."""
     p = mean.shape[0]
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    floor = -1e-8 * max(1.0, float(eigvals.max(initial=0.0)))
-    if eigvals.min(initial=0.0) < floor:
+    eigvals, eigvecs = _eigh(cov)
+    floor = -1e-8 * max(1.0, float(np.maximum.reduce(eigvals, initial=0.0)))
+    if np.minimum.reduce(eigvals, initial=0.0) < floor:
         raise InvalidParameter("covariance must be positive semidefinite")
-    root = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+    root = eigvecs * np.sqrt(np.maximum(eigvals, 0.0))
     return mean + root @ rng.generator.standard_normal(p)
 
 

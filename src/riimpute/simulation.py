@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,10 +87,15 @@ class MethodSummary:
 
 @dataclass(frozen=True)
 class ScenarioResult:
+    """Aggregates of one scenario. ``failures_by_type`` counts the failed
+    replications by the name of the error type that stopped them, sorted by
+    name; its counts sum to ``failed_replications``."""
+
     config: ScenarioConfig
     methods: dict[str, MethodSummary]
     mean_missing_fraction: float
     failed_replications: int
+    failures_by_type: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -200,11 +206,12 @@ def run_replication(config: ScenarioConfig, replication_index: int) -> Replicati
     return ReplicationResult(estimates=estimates, missing_fraction=data.n_missing / config.n)
 
 
-def _one(config: ScenarioConfig, i: int) -> ReplicationResult | None:
+def _one(config: ScenarioConfig, i: int) -> ReplicationResult | str:
+    """Replication ``i``, or the name of the library error type that stopped it."""
     try:
         return run_replication(config, i)
-    except RiImputeError:
-        return None
+    except RiImputeError as exc:
+        return type(exc).__name__
 
 
 def run_scenario(config: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
@@ -212,8 +219,9 @@ def run_scenario(config: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
 
     With ``n_jobs`` > 1 the replications run in that many forked worker
     processes (at most one per replication). Failed replications
-    (non-convergence, too few rows and the like) are recorded and skipped; the
-    run errors out only when more than 5% of them fail. Results are identical for any ``n_jobs`` >= 1.
+    (non-convergence, too few rows and the like) are counted by error type
+    and skipped; the run errors out, naming the counts, only when more than 5%
+    of them fail. Results are identical for any ``n_jobs`` >= 1.
     """
     if n_jobs < 1:
         raise InvalidParameter(f"n_jobs must be >= 1, got {n_jobs}")
@@ -230,12 +238,14 @@ def run_scenario(config: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     else:
         outcomes = [_one(config, i) for i in indices]
 
-    successes = [o for o in outcomes if o is not None]
+    successes = [o for o in outcomes if not isinstance(o, str)]
+    failures = dict(sorted(Counter(o for o in outcomes if isinstance(o, str)).items()))
     failed = config.replications - len(successes)
     if failed > 0.05 * config.replications:
+        counts = ", ".join(f"{name}: {count}" for name, count in failures.items())
         raise RiImputeError(
             f"{failed} of {config.replications} replications failed in scenario "
-            f"{config.mechanism_label!r}"
+            f"{config.mechanism_label!r} ({counts})"
         )
 
     truth = np.asarray(config.beta)
@@ -255,6 +265,7 @@ def run_scenario(config: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
         methods=methods,
         mean_missing_fraction=float(np.mean([o.missing_fraction for o in successes])),
         failed_replications=failed,
+        failures_by_type=failures,
     )
 
 

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from riimpute import RngStream
-
 
 @pytest.fixture
 def rng():
+    from riimpute import RngStream
+
     return RngStream(20260808, 0)
-
-
-def fresh_stream(tag: int) -> RngStream:
-    return RngStream(20260808, tag)
 
 
 def make_incomplete(target, covariates, missing_idx):

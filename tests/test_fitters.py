@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from riimpute.fitters import (IRLS_COEF_CAP, _Columns, _information, _irls, _irls_work,
-                              _logistic, _mu_loglik, _ols)
+from riimpute.fitters import (IRLS_COEF_CAP, _Columns, _eigh, _eigvalsh, _information, _inv,
+                              _irls, _irls_work, _logistic, _mu_loglik, _ols, _solve)
 
 from riimpute import (
     DimensionMismatch,
@@ -372,3 +372,59 @@ def test_logistic_singular_information_raises_rank_deficient(seed):
     y = (gen.random(60) < expit(a)).astype(int)
     with pytest.raises(RankDeficient, match="information matrix is singular"):
         logistic_fit(x, y)
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK gufuncs called without numpy.linalg's wrappers
+
+
+def _symmetric_matrices():
+    """Seeded symmetric positive definite matrices, p = 1 to 5, well conditioned
+    and nearly singular (eigenvalues down to 1e-8 and 1e-17 of the largest),
+    plus singular ones: the zero matrix of each size, a matrix of ones and
+    diag(1, 0)."""
+    gen = np.random.default_rng(20)
+    for p in range(1, 6):
+        for spread in (1.0, 1e-8, 1e-17):
+            q, _ = np.linalg.qr(gen.standard_normal((p, p)))
+            a = (q * np.geomspace(gen.uniform(0.5, 2.0), spread, p)) @ q.T
+            yield 0.5 * (a + a.T)
+        yield np.zeros((p, p))
+    yield np.ones((4, 4))
+    yield np.diag([1.0, 0.0])
+
+
+LINALG_CASES = {
+    "solve": (np.linalg.solve, _solve),
+    "inv": (np.linalg.inv, _inv),
+    "eigvalsh": (np.linalg.eigvalsh, _eigvalsh),
+    "eigh": (np.linalg.eigh, _eigh),
+}
+
+
+def _outcome(function, *arrays):
+    """The bytes of each array ``function`` returns, or the LinAlgError it raises."""
+    try:
+        result = function(*arrays)
+    except np.linalg.LinAlgError as exc:
+        return f"LinAlgError: {exc}"
+    return [np.asarray(r).tobytes() for r in (result if isinstance(result, tuple) else [result])]
+
+
+@pytest.mark.parametrize("outer", ["default", "raise"])
+@pytest.mark.parametrize("name", LINALG_CASES)
+def test_lapack_helpers_match_numpy_linalg_bit_for_bit(name, outer):
+    wrapper, helper = LINALG_CASES[name]
+    gen = np.random.default_rng(21)
+    outcomes = set()
+    settings = {"all": "raise"} if outer == "raise" else {}
+    for matrix in _symmetric_matrices():
+        arrays = (matrix, gen.standard_normal(len(matrix))) if name == "solve" else (matrix,)
+        with np.errstate(**settings):
+            before = np.geterr()
+            expected = _outcome(wrapper, *arrays)
+            assert _outcome(helper, *arrays) == expected
+            assert np.geterr() == before
+        outcomes.add(isinstance(expected, str))
+    # solve and inv raise "Singular matrix" on the singular ones, as the wrappers do
+    assert outcomes == ({False, True} if name in ("solve", "inv") else {False})

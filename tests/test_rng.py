@@ -85,6 +85,15 @@ def test_mvnormal_zero_covariance_returns_mean(rng):
     assert np.array_equal(draw, mean)
 
 
+def test_eigenvalue_floor_keeps_the_bits_of_clip():
+    # _mvnormal floors the eigenvalues with np.maximum(eigvals, 0.0), which is
+    # what np.clip(eigvals, 0.0, None) computes: the same sign of zero, the same NaN
+    eigvals = np.array([-0.0, 0.0, -1e-300, 1e-300, np.nan, -np.nan, 2.5, -3.0])
+    floored = np.maximum(eigvals, 0.0)
+    assert floored.tobytes() == np.clip(eigvals, 0.0, None).tobytes()
+    assert np.sqrt(floored).tobytes() == np.sqrt(np.clip(eigvals, 0.0, None)).tobytes()
+
+
 def test_mvnormal_covariance_recovery(rng):
     cov = np.array([[2.0, 0.6, 0.0], [0.6, 1.0, -0.3], [0.0, -0.3, 0.5]])
     draws = np.vstack([sample_mvnormal(np.zeros(3), cov, rng) for _ in range(100_000)])

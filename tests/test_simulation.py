@@ -10,8 +10,11 @@ from riimpute import (
     NONRESPONSE_SETTINGS,
     DegenerateSample,
     InvalidParameter,
+    NonConvergence,
     RiImputeError,
     RngStream,
+    Separation,
+    TooFewRows,
     builtin_scenario,
     density_summary,
     format_result_table,
@@ -99,6 +102,7 @@ def _assert_same_result(a, b):
     """Every field of two ScenarioResults equal bit for bit."""
     assert a.config is b.config
     assert a.failed_replications == b.failed_replications
+    assert a.failures_by_type == b.failures_by_type
     assert np.float64(a.mean_missing_fraction).tobytes() == (
         np.float64(b.mean_missing_fraction).tobytes()
     )
@@ -113,20 +117,21 @@ def test_run_scenario_worker_count_invariance(replications):
     config = builtin_scenario("mnar2", "moderate", n=300, replications=replications,
                               master_seed=23)
     serial = run_scenario(config, n_jobs=1)
+    assert (serial.failed_replications, serial.failures_by_type) == (0, {})
     for n_jobs in (2, 3):
         _assert_same_result(serial, run_scenario(config, n_jobs=n_jobs))
 
 
-def _fail_at(monkeypatch, failing, error):
-    """Make ``run_replication`` raise ``error`` for the indices in ``failing``.
+def _fail_at(monkeypatch, errors):
+    """Make ``run_replication`` raise ``errors[i]`` for each index ``i`` in ``errors``.
 
     Forked workers inherit the patched module global.
     """
     original = simulation.run_replication
 
     def patched(config, i):
-        if i in failing:
-            raise error(f"injected failure at replication {i}")
+        if i in errors:
+            raise errors[i](f"injected failure at replication {i}")
         return original(config, i)
 
     monkeypatch.setattr(simulation, "run_replication", patched)
@@ -135,25 +140,38 @@ def _fail_at(monkeypatch, failing, error):
 def test_run_scenario_workers_skip_failures_under_five_percent(monkeypatch):
     config = builtin_scenario("mcar", "strong", n=100, replications=20, m=2, iterations=2,
                               master_seed=37)
-    _fail_at(monkeypatch, {13}, RiImputeError)
+    _fail_at(monkeypatch, {13: RiImputeError})
     serial = run_scenario(config, n_jobs=1)
     assert serial.failed_replications == 1
     _assert_same_result(serial, run_scenario(config, n_jobs=2))
+
+
+def test_run_scenario_counts_failures_by_type(monkeypatch):
+    config = builtin_scenario("mcar", "strong", n=100, replications=60, m=2, iterations=2,
+                              master_seed=37)
+    _fail_at(monkeypatch, {41: TooFewRows, 5: TooFewRows, 22: NonConvergence})
+    serial = run_scenario(config, n_jobs=1)
+    assert serial.failed_replications == 3
+    assert list(serial.failures_by_type.items()) == [("NonConvergence", 1), ("TooFewRows", 2)]
+    parallel = run_scenario(config, n_jobs=2)
+    _assert_same_result(serial, parallel)
+    assert format_result_table([parallel]) == format_result_table([serial])
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
 def test_run_scenario_workers_raise_over_five_percent(monkeypatch, n_jobs):
     config = builtin_scenario("mcar", "strong", n=100, replications=20, m=2, iterations=2,
                               master_seed=37)
-    _fail_at(monkeypatch, {3, 17}, RiImputeError)
-    with pytest.raises(RiImputeError, match="2 of 20 replications failed"):
+    _fail_at(monkeypatch, {3: TooFewRows, 17: Separation, 9: TooFewRows})
+    with pytest.raises(RiImputeError, match=r"^3 of 20 replications failed in scenario 'mcar' "
+                                            r"\(Separation: 1, TooFewRows: 2\)$"):
         run_scenario(config, n_jobs=n_jobs)
 
 
 def test_run_scenario_worker_propagates_non_library_error(monkeypatch):
     config = builtin_scenario("mcar", "strong", n=100, replications=6, m=2, iterations=2,
                               master_seed=37)
-    _fail_at(monkeypatch, {4}, ZeroDivisionError)
+    _fail_at(monkeypatch, {4: ZeroDivisionError})
     with pytest.raises(ZeroDivisionError, match="replication 4"):
         run_scenario(config, n_jobs=2)
 
