@@ -79,6 +79,7 @@ class LogisticFit:
     """Maximum likelihood logistic regression result.
 
     ``covariance`` is the inverse observed Fisher information at the estimate.
+    ``iterations`` counts the Newton steps taken, a refit's from zero included.
     """
 
     coefficients: np.ndarray
@@ -281,22 +282,32 @@ def _irls_work(x) -> np.ndarray:
 
 
 def _irls(x, y: np.ndarray, beta: np.ndarray, work: np.ndarray):
-    """Newton iterations from ``beta``: ``(beta, mu, iterations, error)``.
+    """Newton iterations from ``beta``: ``(beta, hessian, steps, error)``.
 
-    ``error`` is the Separation or NonConvergence that stopped the iterations,
-    or None when they converged. ``work`` comes from ``_irls_work(x)``; the
-    returned ``mu`` is one of its rows, and the first rows are overwritten
-    between one log likelihood evaluation and the next.
+    They stop at the first iterate whose Newton decrement grad' H^-1 grad is
+    at most ``IRLS_TOL**2``, which puts it within about ``IRLS_TOL`` posterior
+    SDs of the MLE in any affine recoding of the design. ``hessian`` is the
+    information H there, ``steps`` counts the Newton steps, and ``error`` is
+    the Separation or NonConvergence that stopped them, or None. ``work``
+    comes from ``_irls_work(x)``; its rows are overwritten.
     """
     mu = work[-1]
     ll = _mu_loglik(x, y, beta, mu, work)
-    grad = _rmatvec(x, np.subtract(y, mu, out=work[0]))
-    for iterations in range(1, IRLS_MAX_ITER + 1):
+    for steps in range(IRLS_MAX_ITER + 1):
+        if np.maximum.reduce(np.abs(beta)) > IRLS_COEF_CAP:
+            return beta, None, steps, Separation(
+                f"coefficient magnitude exceeded {IRLS_COEF_CAP:g} after {steps} iterations"
+            )
+        grad = _rmatvec(x, np.subtract(y, mu, out=work[0]))
         hessian = _information(x, mu, work)
         try:
             step = _solve(hessian, grad)
         except LinAlgError:
             step = np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        if grad @ step <= IRLS_TOL**2:
+            return beta, hessian, steps, None
+        if steps == IRLS_MAX_ITER:
+            break
 
         # halve the step until the log likelihood stops decreasing; the slack
         # scales with |ll| so float rounding of the big sum cannot stall the step.
@@ -309,17 +320,8 @@ def _irls(x, y: np.ndarray, beta: np.ndarray, work: np.ndarray):
             if new_ll >= ll - slack:
                 break
             factor *= 0.5
-        delta = float(np.maximum.reduce(np.abs(candidate - beta)))
         beta, ll = candidate, new_ll
-
-        if np.maximum.reduce(np.abs(beta)) > IRLS_COEF_CAP:
-            return beta, mu, iterations, Separation(
-                f"coefficient magnitude exceeded {IRLS_COEF_CAP:g} after {iterations} iterations"
-            )
-        grad = _rmatvec(x, np.subtract(y, mu, out=work[0]))
-        if delta < IRLS_TOL and np.maximum.reduce(np.abs(grad)) <= 1e-6:
-            return beta, mu, iterations, None
-    return beta, mu, IRLS_MAX_ITER, NonConvergence(
+    return beta, None, IRLS_MAX_ITER, NonConvergence(
         f"IRLS did not converge within {IRLS_MAX_ITER} iterations"
     )
 
@@ -327,9 +329,10 @@ def _irls(x, y: np.ndarray, beta: np.ndarray, work: np.ndarray):
 def logistic_fit(design, indicator) -> LogisticFit:
     """Logistic regression by iteratively reweighted least squares from zero.
 
-    Newton steps with step halving, so the log likelihood never decreases.
+    Newton steps with step halving, so the log likelihood never decreases,
+    until the Newton decrement is at most ``IRLS_TOL**2`` (see ``_irls``).
     Raises Separation once any coefficient passes ``IRLS_COEF_CAP`` in
-    magnitude, NonConvergence after ``IRLS_MAX_ITER`` iterations, and
+    magnitude, NonConvergence after ``IRLS_MAX_ITER`` steps, and
     RankDeficient when the information matrix at the estimate is singular.
     A NaN or infinite cell raises InvalidParameter, like any indicator value
     other than 0 and 1.
@@ -349,17 +352,16 @@ def _logistic(x, y: np.ndarray, start: np.ndarray,
     previous estimate to save iterations. A fit from a nonzero start that
     separates or does not converge is refitted once from zero, so a start
     changes the cost of a fit but not whether it succeeds. ``iterations``
-    counts the iterations of both attempts. ``work`` is ``_irls``'s scratch;
+    counts the Newton steps of both attempts. ``work`` is ``_irls``'s scratch;
     a caller fitting the same design again and again passes its own, so the
     fits allocate no n-vector.
     """
     work = _irls_work(x) if work is None else work
-    beta, mu, iterations, error = _irls(x, y, start, work)
+    beta, hessian, iterations, error = _irls(x, y, start, work)
     if error is not None and start.any():
-        beta, mu, cold_iterations, error = _irls(x, y, np.zeros_like(start), work)
+        beta, hessian, cold_iterations, error = _irls(x, y, np.zeros_like(start), work)
         iterations += cold_iterations
     if error is not None:
         raise error
-
-    covariance = _checked_inverse(_information(x, mu, work), "information matrix")
+    covariance = _checked_inverse(hessian, "information matrix")
     return LogisticFit(coefficients=beta, covariance=covariance, iterations=iterations)

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonConvergence, Separation, TooFewRows
 from .fitters import _EINSUM_ROWS, LinearFit, _Columns, _irls_work, _logistic, _matvec, _ols
-from .mechanism import _probability
 from .rng import RngStream, _bernoulli, _mvnormal, mix_stream_id, sample_scaled_inv_chi2
 
 logger = logging.getLogger(__name__)
@@ -274,7 +273,6 @@ def ri_impute(
                        config.num_imputations)
         return [data.target.copy() for _ in range(config.num_imputations)]
     data.require_imputable()
-    # read by every chain, never written
     z_nr = data.covariates[:, cols]
     # 0s and 1s both occur (the return above, require_imputable); floats: no cast per IRLS product
     response = data.observed_mask.astype(float)
@@ -289,7 +287,6 @@ def ri_impute(
         selection_block = np.asfortranarray(np.column_stack([np.ones(data.n), z_nr]))
         adjustment_block = np.asfortranarray(data._observed_design)
         missing_design = _Columns(np.asfortranarray(data._missing_design))
-        z_nr = _Columns(np.asfortranarray(z_nr))
 
         def workspace() -> tuple:
             selection = _Columns(selection_block, np.empty(data.n), at=1)
@@ -309,7 +306,7 @@ def ri_impute(
     def run(chain: int) -> np.ndarray:
         space = spaces.get()
         try:
-            return _chain(data, config, z_nr, response, missing_design, space,
+            return _chain(data, config, response, missing_design, space,
                           completions[chain], chain, warnings[chain])
         finally:
             spaces.put(space)
@@ -339,19 +336,20 @@ def _in_chain_order(outcomes, warnings: list[list[tuple]]) -> list[np.ndarray]:
     return results
 
 
-def _chain(data: IncompleteDataset, config: RiConfig, z_nr, response: np.ndarray, missing_design,
+def _chain(data: IncompleteDataset, config: RiConfig, response: np.ndarray, missing_design,
            workspace: tuple, completed: np.ndarray, chain: int, warnings: list[tuple]) -> np.ndarray:
     """One chain's sweeps; see ``ri_impute``. Returns ``completed``, a copy of
     ``data.target`` whose missing rows the chain fills.
 
-    ``z_nr``, ``response`` and ``missing_design`` are shared with the other
-    chains and only read. ``workspace`` holds the selection and adjustment
-    designs (arrays, or ``_Columns`` from ``_EINSUM_ROWS`` rows on) and the
-    scratch rows that the selection fits and the pseudo-indicator draws
-    share; each sweep overwrites the designs' target and rdot - 1 columns and
-    the scratch. Warnings are appended to ``warnings`` as ``logger.warning``
-    arguments, for the caller to log in chain order.
+    ``response`` and ``missing_design`` are shared with the other chains and
+    only read. ``workspace`` holds the selection and adjustment designs
+    (arrays, or ``_Columns`` from ``_EINSUM_ROWS`` rows on) and the scratch
+    rows that the selection fits and the pseudo-indicator draws share; each
+    sweep overwrites the designs' target and rdot - 1 columns and the scratch.
+    Warnings are appended to ``warnings`` as ``logger.warning`` arguments, for
+    the caller to log in chain order.
     """
+    from scipy.special import expit  # loaded on first use; see mechanism.response_probability
     selection_design, adjustment_design, work = workspace
     rng = RngStream(config.seed, mix_stream_id("ri-chain", chain))
     completed[data._missing_rows] = rng.generator.choice(
@@ -359,25 +357,28 @@ def _chain(data: IncompleteDataset, config: RiConfig, z_nr, response: np.ndarray
     psi_dot = np.zeros(selection_design.shape[1])
     for _ in range(config.iterations):
         selection_design[:, 1] = completed
+        fallback = None
         try:
             fit = _logistic(selection_design, response, psi_dot, work)
         except (Separation, NonConvergence) as exc:
-            warnings.append(("selection model %s; sweep uses zero shift",
-                             "separated" if isinstance(exc, Separation) else "did not converge"))
-            _impute_draw(data, missing_design, _mar_fit(data), rng, out=completed)
-            continue
-        psi_dot = _mvnormal(fit.coefficients, fit.covariance, rng)
-        if not np.logical_and.reduce(np.isfinite(psi_dot)):  # the check NonresponseParams makes
-            raise InvalidParameter("nonresponse coefficients must be finite")
-        for _ in range(MAX_RDOT_REDRAWS + 1):
-            rdot = _bernoulli(_probability(psi_dot, completed, z_nr, work), rng, out=work[-1])
-            adjustment = _adjustment_fit(data, rdot, adjustment_design)
-            if adjustment is not None:
-                _impute_draw(data, missing_design, adjustment, rng, rdot, out=completed)
-                break
+            fallback = ("selection model %s; sweep uses zero shift",
+                        "separated" if isinstance(exc, Separation) else "did not converge")
         else:
-            warnings.append(("pseudo indicator degenerate after %d redraws; sweep uses zero shift",
-                             MAX_RDOT_REDRAWS))
+            psi_dot = _mvnormal(fit.coefficients, fit.covariance, rng)
+            if not np.logical_and.reduce(np.isfinite(psi_dot)):  # the check NonresponseParams makes
+                raise InvalidParameter("nonresponse coefficients must be finite")
+            probability = expit(_matvec(selection_design, psi_dot, out=work[0]), out=work[0])
+            for _ in range(MAX_RDOT_REDRAWS + 1):
+                rdot = _bernoulli(probability, rng, out=work[-1])
+                adjustment = _adjustment_fit(data, rdot, adjustment_design)
+                if adjustment is not None:
+                    _impute_draw(data, missing_design, adjustment, rng, rdot, out=completed)
+                    break
+            else:
+                fallback = ("pseudo indicator degenerate after %d redraws; sweep uses zero shift",
+                            MAX_RDOT_REDRAWS)
+        if fallback is not None:
+            warnings.append(fallback)
             _impute_draw(data, missing_design, _mar_fit(data), rng, out=completed)
     return completed
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .fitters import _matvec
 from .rng import RngStream, sample_bernoulli
 
 
@@ -55,32 +54,20 @@ def _covariate_matrix(z, n_rows: int, n_coefs: int) -> np.ndarray:
     return z
 
 
-def _probability(psi: np.ndarray, x1: np.ndarray, z, work: np.ndarray | None = None) -> np.ndarray:
-    """Kernel of ``response_probability``: ``psi`` is ``[psi0, psi1, *psi_z]``, z is (n, k).
-
-    ``work``, two n-vector rows, takes the result (its first row) and one
-    temporary; a caller drawing often passes its own.
-    """
+def response_probability(params: NonresponseParams, x1, z=None):
+    """P(observed) under the selection model, for one row or row-wise."""
     # imported on first use: scipy.special takes 0.10-0.16 s to import after
     # numpy, and commands that draw no missingness (``density``) never load it
     from scipy.special import expit
 
-    eta, shift = np.empty((2, len(x1))) if work is None else work[:2]
-    _matvec(z, psi[2:], out=eta)
-    np.multiply(x1, psi[1], out=shift)
-    shift += psi[0]
-    eta += shift
-    return expit(eta, out=eta)
-
-
-def response_probability(params: NonresponseParams, x1, z=None):
-    """P(observed) under the selection model, for one row or row-wise."""
     x1 = np.asarray(x1, dtype=float)
     scalar = x1.ndim == 0
     x1 = np.atleast_1d(x1)
     n = x1.shape[0]
     zmat = _covariate_matrix(z if z is not None else np.zeros((n, 0)), n, len(params.psi_z))
-    prob = _probability(np.r_[params.psi0, params.psi1, params.psi_z], x1, zmat)
+    eta = zmat @ params.psi_z
+    eta += x1 * params.psi1 + params.psi0
+    prob = expit(eta, out=eta)
     return float(prob[0]) if scalar else prob
 
 

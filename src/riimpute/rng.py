@@ -81,9 +81,13 @@ def sample_mvnormal(mean, covariance, rng: RngStream) -> np.ndarray:
     p = mean.shape[0]
     if cov.shape != (p, p):
         raise DimensionMismatch(f"covariance shape {cov.shape} does not match mean length {p}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN cell, or an overflow
+        symmetrized = 0.5 * (cov + cov.T)
+    if not (np.isfinite(mean).all() and np.isfinite(symmetrized).all()):
+        raise InvalidParameter("mean and covariance must be finite, also once symmetrized")
     if not np.allclose(cov, cov.T, rtol=0, atol=1e-8 * max(1.0, float(np.abs(cov).max(initial=0.0)))):
         raise InvalidParameter("covariance must be symmetric")
-    return _mvnormal(mean, 0.5 * (cov + cov.T), rng)
+    return _mvnormal(mean, symmetrized, rng)
 
 
 def _mvnormal(mean: np.ndarray, cov: np.ndarray, rng: RngStream) -> np.ndarray:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import expit
 
+from riimpute import fitters
 from riimpute.fitters import (IRLS_COEF_CAP, _Columns, _eigh, _eigvalsh, _information, _inv,
                               _irls, _irls_work, _logistic, _mu_loglik, _ols, _solve)
 
@@ -9,6 +11,7 @@ from riimpute import (
     DimensionMismatch,
     IncompleteDataset,
     InvalidParameter,
+    LogisticFit,
     NonConvergence,
     RankDeficient,
     RngStream,
@@ -360,6 +363,85 @@ def test_logistic_start_past_cap_retries_cold(well_posed):
     assert np.array_equal(fit.coefficients, cold.coefficients)
     assert np.array_equal(fit.covariance, cold.covariance)
     assert fit.iterations == warm_iterations + cold.iterations
+
+
+def test_logistic_start_past_cap_that_meets_the_stopping_rule_raises_separation(
+        well_posed, monkeypatch):
+    # recoding a covariate as x / 20 puts its coefficient at about 20, past the
+    # cap; the recoded MLE already meets the stopping rule, yet is not returned
+    x, y, cold = well_posed
+    x = x / np.array([1.0, 20.0, 1.0])
+    start = cold.coefficients * np.array([1.0, 20.0, 1.0])
+    assert np.abs(start).max() > IRLS_COEF_CAP
+    with monkeypatch.context() as uncapped:
+        uncapped.setattr(fitters, "IRLS_COEF_CAP", np.inf)
+        *_, steps, error = _irls(x, y, start, _irls_work(x))
+    assert error is None and steps <= 1
+    *_, steps, error = _irls(x, y, start, _irls_work(x))
+    assert isinstance(error, Separation) and steps == 0
+    with pytest.raises(Separation):
+        _logistic(x, y, start)
+
+
+@pytest.mark.parametrize("n", [20_000, 100_000])
+def test_logistic_fit_of_a_covariate_in_tiny_units_is_the_rescaled_fit(n):
+    # the stopping rule does not depend on the units of the design; a raw
+    # gradient or step test does, and in units of 1e-8 never passed
+    gen = RngStream(40, n).generator
+    z = gen.normal(0.0, 1.0, n)
+    y = (gen.random(n) < expit(-0.5 + z)).astype(float)
+    fit = logistic_fit(np.column_stack([np.ones(n), z]), y)
+    recoded = logistic_fit(np.column_stack([np.ones(n), 1e8 * z]), y)
+    assert np.allclose(recoded.coefficients * [1.0, 1e8], fit.coefficients, rtol=1e-6, atol=0)
+    assert abs(recoded.iterations - fit.iterations) <= 1
+
+
+def _fit_or_error(x, y):
+    try:
+        return logistic_fit(x, y)
+    except (Separation, NonConvergence, RankDeficient) as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(60, 400), st.sampled_from([1, 2]),
+       st.floats(-0.5, 8.0), st.sampled_from([-1.0, 1.0]), st.floats(-5.0, 5.0))
+def test_logistic_fit_is_invariant_to_affine_recoding_of_a_covariate(seed, n, column, log_scale,
+                                                                     sign, shift):
+    # the column becomes a * (x + shift); the recoded coefficients are
+    # beta_j / a and beta_0 - beta_j * shift, and Newton's method maps onto them
+    gen = RngStream(seed, n).generator
+    x = np.column_stack([np.ones(n), gen.normal(0.0, 1.0, n), gen.normal(1.0, 2.0, n)])
+    y = (gen.random(n) < expit(x @ gen.uniform(-1.0, 1.0, 3))).astype(float)
+    a = sign * 10.0**log_scale
+    recoded_x = x.copy()
+    recoded_x[:, column] = a * (x[:, column] + shift)
+    fit, recoded = _fit_or_error(x, y), _fit_or_error(recoded_x, y)
+    if not isinstance(fit, LogisticFit):
+        assert recoded is fit
+        return
+    mapped = fit.coefficients.copy()
+    mapped[column] /= a
+    mapped[0] -= fit.coefficients[column] * shift
+    assume(np.abs(mapped).max() <= IRLS_COEF_CAP / 2)
+    assert isinstance(recoded, LogisticFit)
+    back = recoded.coefficients.copy()
+    back[column] *= a
+    back[0] += back[column] * shift
+    assert np.abs(back - fit.coefficients).max() <= 1e-6 * np.abs(fit.coefficients).max()
+    assert abs(recoded.iterations - fit.iterations) <= 1
+
+
+@pytest.mark.parametrize("n", [60, 1000])
+@pytest.mark.parametrize("gap", [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+def test_logistic_perfectly_separated_data_never_fit(n, gap):
+    # the classes' covariate values are at most 0 and at least gap: no finite
+    # MLE exists, so the fit must fail as separated or not converged
+    gen = RngStream(41, n).generator
+    y = np.arange(n) % 2
+    z = np.where(y == 1, gap + np.abs(gen.normal(0.0, 1.0, n)), -np.abs(gen.normal(0.0, 1.0, n)))
+    with pytest.raises((Separation, NonConvergence)):
+        logistic_fit(np.column_stack([np.ones(n), z]), y)
 
 
 # seed 0: the information matrix is exactly singular in floating point;

@@ -24,6 +24,7 @@ from riimpute import (
     TooFewRows,
     builtin_scenario,
     complete_case,
+    generate_complete_data,
     generate_missingness,
     logistic_fit,
     mar_impute,
@@ -434,6 +435,17 @@ def _near_separated_dataset():
     observed[:3] = True
     observed[-1] = False
     return IncompleteDataset(np.where(observed, x, np.nan), z)
+
+
+def test_ri_target_in_tiny_units_takes_no_fallback_sweep(caplog):
+    # a target measured in units of 1e-8 leaves the selection fit's stopping
+    # rule as it is, so no sweep degrades to MAR
+    x, z = generate_complete_data((1.0, 0.5, 1.0), 20_000, RngStream(5, 0))
+    r = generate_missingness(x, np.zeros((len(x), 0)), NonresponseParams(-2.0, 1.5), RngStream(5, 1))
+    data = IncompleteDataset(np.where(r == 1, 1e8 * x, np.nan), z)
+    with caplog.at_level(logging.WARNING, logger="riimpute.imputation"):
+        ri_impute(data, RiConfig(iterations=10, num_imputations=5, seed=1), nonresponse_columns=(0,))
+    assert [record.getMessage() for record in caplog.records] == []
 
 
 @pytest.mark.parametrize("case", ["regular", "near_separated"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,16 @@ def test_mvnormal_rejects_bad_covariance(rng):
         sample_mvnormal(np.zeros(2), np.array([[1.0, 0.9], [0.2, 1.0]]), rng)
     with pytest.raises(InvalidParameter):
         sample_mvnormal(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), rng)
+
+
+@pytest.mark.parametrize("mean, cov, message", [
+    ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]], "must be finite"),
+    ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]], "must be finite"),
+    ([0.0, np.nan], [[1.0, 0.0], [0.0, 1.0]], "must be finite"),
+    ([0.0, 0.0], [[1e308, 1e308], [1e308, 1e308]], "must be finite, also once symmetrized"),
+], ids=["inf-covariance", "nan-covariance", "nan-mean", "overflow"])
+def test_mvnormal_rejects_non_finite_input_without_warnings(rng, mean, cov, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match=message):
+            sample_mvnormal(np.array(mean), np.array(cov), rng)
