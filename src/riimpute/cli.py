@@ -711,11 +711,11 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_density(args: argparse.Namespace, argv: list[str]) -> int:
     paths = [Path(p) for p in args.input_csv]
-    record = _make_record(argv, _resolve_seed(args.seed), paths)
+    ref_path = Path(args.only_missing_from) if args.only_missing_from else None
+    record = _make_record(argv, _resolve_seed(args.seed), paths + ([ref_path] if ref_path else []))
 
     row_mask = None
-    if args.only_missing_from:
-        ref_path = Path(args.only_missing_from)
+    if ref_path is not None:
         ref_header, ref_data = read_csv_columns(ref_path)
         _require_columns(ref_header, [args.column], ref_path)
         row_mask = np.isnan(ref_data[args.column])

@@ -14,11 +14,9 @@ ignorable mechanism) and ``complete_case`` (drop incomplete rows).
 
 from __future__ import annotations
 
-import functools
 import logging
 import multiprocessing
 import os
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -247,14 +245,17 @@ def ri_impute(
     rank-deficient fit raises). Within a chain, each selection-model fit
     starts from the chain's latest coefficient draw; the first starts at zero.
 
-    From 10 000 rows on (``fitters._EINSUM_ROWS``) the chains run on a pool
-    of one thread per available CPU, and their designs are column-major with
-    every n-long product summed by einsum, not BLAS, so the draws are the
-    same for any number of CPUs or BLAS threads. In a worker process (such as
-    ``run_scenario``'s), where the parent already shares the CPUs out, and
-    below that row count, they run one after another. Either way the
-    warnings are logged in chain order, and the first failing chain's error
-    is raised, after the warnings of the chains before it.
+    From 10 000 rows on (``fitters._EINSUM_ROWS``) the chains run on T
+    threads, one per available CPU and at most one per chain, and their
+    designs are column-major with every n-long product summed by einsum, not
+    BLAS, so the draws are the same for any number of CPUs or BLAS threads.
+    Thread t runs chains t, t + T, ... in turn with its own workspace, and
+    stops at its first failing chain. Below that row count, in a worker
+    process (such as ``run_scenario``'s, whose parent already shares the CPUs
+    out) or with one CPU, T is 1 and the chains run one after another on the
+    calling thread. Then each chain's warnings are logged in chain order, and
+    the first failing chain's error is raised after the warnings of its own
+    sweeps and of every chain before it.
 
     The sweeps run private kernels without argument checks: every array they
     get is built here from the checked dataset. ``tests/ri_step_oracle.py``
@@ -295,51 +296,40 @@ def ri_impute(
 
     # The completions and the workspaces are allocated on this thread: memory a
     # pool thread allocates stays in that thread's malloc arena after it is freed.
-    completions = [data.target.copy() for _ in range(config.num_imputations)]
-    warnings: list[list[tuple]] = [[] for _ in completions]
+    m = config.num_imputations
+    completions = [data.target.copy() for _ in range(m)]
+    warnings: list[list[tuple]] = [[] for _ in range(m)]
+    errors: list[Exception | None] = [None] * m
     serial = data.n < _EINSUM_ROWS or multiprocessing.parent_process() is not None
-    threads = 1 if serial else min(_available_cpus(), len(completions))
-    spaces = queue.SimpleQueue()  # one per thread, so get() never waits
-    for _ in range(threads):
-        spaces.put(workspace())
+    threads = 1 if serial else min(_available_cpus(), m)
+    spaces = [workspace() for _ in range(threads)]
 
-    def run(chain: int) -> np.ndarray:
-        space = spaces.get()
-        try:
-            return _chain(data, config, response, missing_design, space,
-                          completions[chain], chain, warnings[chain])
-        finally:
-            spaces.put(space)
+    def run(thread: int) -> None:
+        for chain in range(thread, m, threads):
+            try:
+                _chain(data, config, response, missing_design, spaces[thread],
+                       completions[chain], chain, warnings[chain])
+            except Exception as exc:  # raised below, after the warnings of the chains before it
+                errors[chain] = exc
+                return
 
-    if serial:
-        return _in_chain_order([functools.partial(run, c) for c in range(len(completions))],
-                               warnings)
-    pool = ThreadPoolExecutor(max_workers=threads)
-    try:
-        futures = [pool.submit(run, chain) for chain in range(len(completions))]
-        return _in_chain_order([future.result for future in futures], warnings)
-    finally:
-        pool.shutdown(cancel_futures=True)  # the chains after a failing one
-
-
-def _in_chain_order(outcomes, warnings: list[list[tuple]]) -> list[np.ndarray]:
-    """Call each chain's outcome in turn and log the chain's warnings after it,
-    so a failing chain's error is raised after the warnings of its own sweeps
-    and of every chain before it."""
-    results = []
-    for outcome, messages in zip(outcomes, warnings):
-        try:
-            results.append(outcome())
-        finally:
-            for message in messages:
-                logger.warning(*message)
-    return results
+    if threads == 1:
+        run(0)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, range(threads)))
+    for messages, error in zip(warnings, errors):
+        for message in messages:
+            logger.warning(*message)
+        if error is not None:
+            raise error
+    return completions
 
 
 def _chain(data: IncompleteDataset, config: RiConfig, response: np.ndarray, missing_design,
-           workspace: tuple, completed: np.ndarray, chain: int, warnings: list[tuple]) -> np.ndarray:
-    """One chain's sweeps; see ``ri_impute``. Returns ``completed``, a copy of
-    ``data.target`` whose missing rows the chain fills.
+           workspace: tuple, completed: np.ndarray, chain: int, warnings: list[tuple]) -> None:
+    """One chain's sweeps; see ``ri_impute``. Fills the missing rows of
+    ``completed``, a copy of ``data.target``.
 
     ``response`` and ``missing_design`` are shared with the other chains and
     only read. ``workspace`` holds the selection and adjustment designs
@@ -380,7 +370,6 @@ def _chain(data: IncompleteDataset, config: RiConfig, response: np.ndarray, miss
         if fallback is not None:
             warnings.append(fallback)
             _impute_draw(data, missing_design, _mar_fit(data), rng, out=completed)
-    return completed
 
 
 def complete_case(data: IncompleteDataset) -> tuple[np.ndarray, np.ndarray]:

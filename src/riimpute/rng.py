@@ -74,25 +74,32 @@ def sample_mvnormal(mean, covariance, rng: RngStream) -> np.ndarray:
     """Draw one vector from a multivariate normal with PSD covariance.
 
     Uses a symmetric eigendecomposition so that singular covariances (including
-    the zero matrix, which returns the mean exactly) are handled.
+    the zero matrix, which returns the mean exactly) are handled. A non-finite
+    mean or covariance, an asymmetric covariance, and a draw that overflows
+    (covariance entries near the float limit) raise InvalidParameter.
     """
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(covariance, dtype=float)
     p = mean.shape[0]
     if cov.shape != (p, p):
         raise DimensionMismatch(f"covariance shape {cov.shape} does not match mean length {p}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN cell, or an overflow
-        symmetrized = 0.5 * (cov + cov.T)
-    if not (np.isfinite(mean).all() and np.isfinite(symmetrized).all()):
-        raise InvalidParameter("mean and covariance must be finite, also once symmetrized")
-    if not np.allclose(cov, cov.T, rtol=0, atol=1e-8 * max(1.0, float(np.abs(cov).max(initial=0.0)))):
-        raise InvalidParameter("covariance must be symmetric")
-    return _mvnormal(mean, symmetrized, rng)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, or a difference past the limit
+        symmetrized = 0.5 * cov + 0.5 * cov.T  # halving each term first cannot overflow
+        if not (np.isfinite(mean).all() and np.isfinite(symmetrized).all()):
+            raise InvalidParameter("mean and covariance must be finite")
+        scale = max(1.0, float(np.abs(cov).max(initial=0.0)))
+        if not np.allclose(cov, cov.T, rtol=0, atol=1e-8 * scale):
+            raise InvalidParameter("covariance must be symmetric")
+    draw = _mvnormal(mean, symmetrized, rng)
+    if not np.isfinite(draw).all():
+        raise InvalidParameter("the draw overflows: covariance entries too near the float limit")
+    return draw
 
 
 def _mvnormal(mean: np.ndarray, cov: np.ndarray, rng: RngStream) -> np.ndarray:
     """Kernel of ``sample_mvnormal`` for an exactly symmetric covariance, which
-    its symmetrization leaves unchanged bit for bit."""
+    its symmetrization leaves unchanged bit for bit unless an entry is below
+    2**-1021 in magnitude, where halving can round."""
     p = mean.shape[0]
     eigvals, eigvecs = _eigh(cov)
     floor = -1e-8 * max(1.0, float(np.maximum.reduce(eigvals, initial=0.0)))

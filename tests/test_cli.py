@@ -483,6 +483,12 @@ def test_input_digest_is_the_sha256_of_the_inputs(tmp_path, monkeypatch):
                  "--labels", "a,b", "--output", str(out)]) == 0
     expected = hashlib.sha256(csv_path.read_bytes() + other.read_bytes()).hexdigest()
     assert digest_line(out) == f"# input-sha256: {expected}"
+    # the --only-missing-from file is read too, so its bytes follow the inputs'
+    assert main(["density", str(tmp_path / "out_imp1.csv"), "--column", "x1",
+                 "--only-missing-from", str(csv_path), "--output", str(out)]) == 0
+    expected = hashlib.sha256((tmp_path / "out_imp1.csv").read_bytes()
+                              + csv_path.read_bytes()).hexdigest()
+    assert digest_line(out) == f"# input-sha256: {expected}"
 
 
 def test_seed_env_var_override(tmp_path, monkeypatch):

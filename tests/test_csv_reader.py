@@ -106,6 +106,9 @@ def test_cell_over_the_csv_field_limit_names_its_line(tmp_path):
     with pytest.raises(CliInputError) as excinfo:
         read_csv_columns(path)
     assert str(excinfo.value) == f"{path}:3: field larger than field limit (131072)"
+    # a header cell too, with no quote in the file
+    path.write_text("x," + "y" * 200_000 + "\n1,2\n", encoding="utf-8")
+    assert _outcome(read_csv_columns, path) == f"{path}:1: field larger than field limit (131072)"
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +246,17 @@ def test_a_fault_before_a_byte_that_is_not_utf8_is_reported_first(tmp_path):
     assert _outcome(csv_reader_oracle.read_csv_columns, path) == (
         f"{path}: not valid UTF-8 (byte 0xff)")
     assert _outcome(read_csv_columns, path) == f"{path}:2: non-numeric value 'zz'"
+    # and so after the file's first quote, where csv.reader reads every line
+    path.write_bytes(b'y,z\n"1",2\n3,zz\n\xff\n')
+    assert _outcome(read_csv_columns, path) == f"{path}:3: non-numeric value 'zz'"
+    path.write_bytes(b'y,z\n"1",2\n3,4\n\xff\n')
+    assert _outcome(read_csv_columns, path) == f"{path}: not valid UTF-8 (byte 0xff)"
+
+
+def test_a_path_that_cannot_be_opened_is_an_input_error(tmp_path):
+    # the commands hash their inputs first, so only a library call gets here
+    assert _outcome(read_csv_columns, tmp_path / "absent.csv").startswith(
+        f"cannot read {tmp_path / 'absent.csv'}: [Errno 2]")
 
 
 def test_reader_memory_stays_near_8_bytes_per_cell(tmp_path):

@@ -153,6 +153,8 @@ def test_mar_impute_collinear_covariates_raise_rank_deficient():
 def test_ols_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         ols_fit([[1, 0], [1, 1]], [1, 2, 3])
+    with pytest.raises(DimensionMismatch, match="need at least 3 rows for 3 parameters, got 2"):
+        ols_fit([[1, 0, 2], [1, 1, 0]], [1, 2])
 
 
 @pytest.mark.parametrize("fitter, design, response", [
@@ -162,6 +164,18 @@ def test_ols_shape_mismatch():
 def test_zero_column_design_raises_dimension_mismatch(fitter, design, response):
     with pytest.raises(DimensionMismatch, match="design has no columns"):
         fitter(design, response)
+
+
+@pytest.mark.parametrize("fitter, response", [
+    (ols_fit, [0.5, -1.0, 0.2, 1.5, 0.1, 2.0, 1.2, 2.5]),
+    (logistic_fit, [0, 1, 0, 0, 1, 0, 1, 1]),
+], ids=["ols", "logistic"])
+def test_fitters_take_a_1d_design_as_one_column_and_refuse_3d(fitter, response):
+    x = np.linspace(-1.0, 2.0, 8)
+    one, column = fitter(x, response), fitter(x[:, None], response)
+    assert one.coefficients.tobytes() == column.coefficients.tobytes()
+    with pytest.raises(DimensionMismatch, match="design must be 2-dimensional, got ndim=3"):
+        fitter(x[:, None, None], response)
 
 
 @pytest.mark.filterwarnings("error")

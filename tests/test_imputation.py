@@ -56,6 +56,10 @@ def test_dataset_validation():
         IncompleteDataset(np.array([1.0, np.nan]), np.array([[1.0], [np.nan]]))
     with pytest.raises(DimensionMismatch):
         IncompleteDataset(np.array([1.0, 2.0]), np.ones((3, 1)))
+    with pytest.raises(DimensionMismatch, match="target must be 1-d"):
+        IncompleteDataset(np.ones((3, 1)), np.ones((3, 1)))
+    with pytest.raises(DimensionMismatch, match="one name per covariate column"):
+        IncompleteDataset(np.ones(3), np.ones((3, 2)), covariate_names=("a",))
     data = IncompleteDataset(np.array([1.0, np.nan, 3.0]), np.arange(3.0))
     assert data.n == 3 and data.n_observed == 2 and data.n_missing == 1
     assert data.observed_mask.tolist() == [True, False, True]
@@ -588,6 +592,20 @@ def test_ri_rejects_bad_nonresponse_columns(columns):
         ri_impute(data, RiConfig(iterations=1, num_imputations=1), nonresponse_columns=columns)
 
 
+def test_imputers_reject_zero_counts():
+    with pytest.raises(InvalidParameter, match="iterations and num_imputations must be >= 1"):
+        RiConfig(iterations=0)
+    with pytest.raises(InvalidParameter, match="m must be >= 1"):
+        mar_impute(_mnar_dataset(53, n=60)[0], 0, RngStream(1, 0))
+
+
+def test_ri_non_finite_selection_draw_raises(monkeypatch):
+    # the chain checks its coefficient draw, as NonresponseParams would
+    monkeypatch.setattr(imputation, "_mvnormal", lambda mean, cov, rng: np.full(len(mean), np.nan))
+    with pytest.raises(InvalidParameter, match="nonresponse coefficients must be finite"):
+        ri_impute(_mnar_dataset(53, n=60)[0], RiConfig(iterations=1, num_imputations=1))
+
+
 def test_nan_response_probabilities_raise(rng):
     # expit of a NaN log-odds is NaN, which would otherwise draw 0
     with pytest.raises(InvalidParameter):
@@ -650,6 +668,13 @@ def test_mar_impute_no_missing_identity(caplog):
     with caplog.at_level(logging.WARNING, logger="riimpute.imputation"):
         out = mar_impute(data, 3, RngStream(55, 0))
     assert all(np.array_equal(c, np.arange(10.0)) for c in out)
+
+
+def test_mar_impute_of_an_exact_fit_keeps_the_estimates():
+    # a constant observed target is fitted with zero residual variance, so the
+    # draw adds no noise and keeps the coefficients
+    data = IncompleteDataset(np.array([2.5, 2.5, 2.5, 2.5, np.nan]), np.array([0.0, 1.0, 0.0, 1.0, 0.0]))
+    assert all(c.tolist() == [2.5] * 5 for c in mar_impute(data, 2, RngStream(57, 0)))
 
 
 def test_mar_impute_recovers_truth():
@@ -801,7 +826,7 @@ def test_chain_pool_gives_the_serial_bytes_for_any_cpu_count(monkeypatch, caplog
     serial = _run(monkeypatch, caplog, pool_data, config, serial=True)
     assert started == []
     assert _run(monkeypatch, caplog, pool_data, config, serial=False, cpus=cpus) == serial
-    assert started == [cpus]
+    assert started == ([] if cpus == 1 else [cpus])  # one CPU runs the chains inline
 
 
 @pytest.mark.parametrize("m, expected", [

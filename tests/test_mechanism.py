@@ -44,6 +44,8 @@ def test_response_probability_dimension_mismatch():
     params = NonresponseParams(0.0, 1.0, [0.5, -0.5])
     with pytest.raises(DimensionMismatch):
         response_probability(params, 1.0, np.array([1.0]))
+    with pytest.raises(DimensionMismatch, match="no covariate coefficients"):
+        response_probability(NonresponseParams(0.0, 1.0), 1.0, np.array([1.0]))
 
 
 def test_generate_missingness_degenerate_probability(rng):

@@ -162,6 +162,8 @@ def test_single_fit_estimate_degrees_of_freedom():
     assert np.all(est.df == 28.0)
     assert np.all(est.b == 0.0)
     assert est.ci_low[0] < 1.0 < est.ci_high[0]
+    with pytest.raises(InvalidParameter, match="positive residual degrees of freedom"):
+        single_fit_estimate(make_fit([1.0, 2.0], [0.25, 0.01], n=2))
 
 
 def test_coverage_truth_at_center_and_outside():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from riimpute import (
+    DimensionMismatch,
     InvalidParameter,
     RngStream,
     mix_stream_id,
@@ -11,6 +12,7 @@ from riimpute import (
     sample_mvnormal,
     sample_scaled_inv_chi2,
 )
+from riimpute.rng import _mvnormal
 
 
 def test_same_key_reproduces_byte_identical_sequences():
@@ -109,16 +111,31 @@ def test_mvnormal_rejects_bad_covariance(rng):
         sample_mvnormal(np.zeros(2), np.array([[1.0, 0.9], [0.2, 1.0]]), rng)
     with pytest.raises(InvalidParameter):
         sample_mvnormal(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), rng)
+    with pytest.raises(DimensionMismatch, match="does not match mean length 2"):
+        sample_mvnormal(np.zeros(2), np.eye(3), rng)
 
 
 @pytest.mark.parametrize("mean, cov, message", [
     ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]], "must be finite"),
     ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]], "must be finite"),
     ([0.0, np.nan], [[1.0, 0.0], [0.0, 1.0]], "must be finite"),
-    ([0.0, 0.0], [[1e308, 1e308], [1e308, 1e308]], "must be finite, also once symmetrized"),
-], ids=["inf-covariance", "nan-covariance", "nan-mean", "overflow"])
+    ([0.0, 0.0], [[1e308, 1e308], [1e308, 1e308]], "the draw overflows"),
+    ([0.0, 0.0], [[1e308, 1e308], [-1e308, 1e308]], "must be symmetric"),
+], ids=["inf-covariance", "nan-covariance", "nan-mean", "overflow", "asymmetric-near-limit"])
 def test_mvnormal_rejects_non_finite_input_without_warnings(rng, mean, cov, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameter, match=message):
             sample_mvnormal(np.array(mean), np.array(cov), rng)
+
+
+def test_mvnormal_symmetrizes_by_halving_each_term_first():
+    # in the normal range the halves sum to the bits of the halved sum; near the
+    # float limit only halving first keeps the symmetrized covariance finite
+    cov = np.array([[2.0, 0.6 + 1e-12, 0.1], [0.6, 1.0, -0.3], [0.1, -0.3 - 3e-13, 0.5]])
+    expected = _mvnormal(np.ones(3), 0.5 * (cov + cov.T), RngStream(8, 1))
+    assert sample_mvnormal(np.ones(3), cov, RngStream(8, 1)).tobytes() == expected.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draw = sample_mvnormal(np.zeros(2), np.array([[1e308, 0.0], [0.0, 1e308]]), RngStream(8, 1))
+    assert np.isfinite(draw).all() and np.abs(draw).max() > 1e150

@@ -38,6 +38,8 @@ def test_builtin_settings_tables():
     assert config.psi.psi_z.tolist() == [0.0]
     with pytest.raises(InvalidParameter):
         builtin_scenario("mnar9")
+    with pytest.raises(InvalidParameter, match="unknown beta set 'weak'"):
+        builtin_scenario("mnar3", "weak")
 
 
 def test_generate_complete_data_moments():
@@ -195,6 +197,10 @@ def test_scenario_validation():
         builtin_scenario("mcar", n=10)
     with pytest.raises(InvalidParameter):
         builtin_scenario("mcar", replications=0)
+    with pytest.raises(InvalidParameter, match="beta must have three entries"):
+        replace(builtin_scenario("mcar"), beta=(1.0, 0.5))
+    with pytest.raises(InvalidParameter, match="n must be >= 1"):
+        generate_complete_data((1.0, 0.5, 1.0), 0, RngStream(81, 0))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -308,6 +314,8 @@ def test_density_degenerate_sample():
         density_summary(np.ones(10), "flat")
     with pytest.raises(DegenerateSample):
         density_summary(np.array([1.0]), "single")
+    with pytest.raises(DegenerateSample, match="no spread"):
+        silverman_bandwidth(np.full(10, 2.5))
 
 
 def test_density_collapsed_bandwidth_raises_before_the_kernel_sum():
