@@ -122,15 +122,16 @@ def _resolve_seed(value: int | None) -> int:
 # ---------------------------------------------------------------------------
 # CSV handling: comma separated, one header row, '.' decimal separator, UTF-8.
 # Missing cells read as empty field or literal NA and written as empty fields;
-# cells that parse to a non-finite float (inf, nan, ...) are rejected. Cells are
-# written with the bytes of %.17g, so a written file reads back bit for bit:
-# numpy forms the 17 digits of every value with 1e-4 <= |v| < 1e16 (the range
-# %.17g writes without an exponent), and Python's '%.17g' % formats the rest
-# (±0.0, subnormals, |v| < 1e-4 or >= 1e16). The reader makes one pass in
-# blocks of whole lines and holds 8 bytes per cell. The first fault in file
-# order raises, naming the physical line its row ends on: comment, blank and
-# multi-line quoted lines count. A file with a header but no data rows is
-# refused after the pass.
+# cells that parse to a non-finite float (inf, nan, ...) are rejected in the
+# columns a command converts (every column for impute, --column for density).
+# Cells are written with the bytes of %.17g, so a written file reads back bit
+# for bit: numpy forms the 17 digits of every value with 1e-4 <= |v| < 1e16
+# (the range %.17g writes without an exponent), and Python's '%.17g' % formats
+# the rest (±0.0, subnormals, |v| < 1e-4 or >= 1e16). The reader makes one pass
+# in blocks of whole lines and holds 8 bytes per converted cell. The first
+# fault in file order raises, naming the physical line its row ends on:
+# comment, blank and multi-line quoted lines count. A file with a header but no
+# data rows is refused after the pass.
 
 # the reader takes the file in blocks of whole lines of about this many bytes,
 # and the input digest hashes it in chunks of this many
@@ -196,14 +197,19 @@ def _cell_values(cells: np.ndarray) -> np.ndarray | None:
 
 
 class _ColumnReader:
-    """The state of one pass over a CSV file: its header, its columns and
-    the physical lines read so far."""
+    """The state of one pass over a CSV file: its header, the columns it
+    converts (all for ``wanted`` None, else those named in ``wanted``), and
+    the physical lines and data rows read so far."""
 
-    def __init__(self, path: Path) -> None:
+    def __init__(self, path: Path, wanted: set[str] | None) -> None:
         self.path = path
+        self.wanted = wanted
         self.header: list[str] | None = None
+        # the header indices of the converted columns, and their floats
+        self.selected: list[int] = []
         self.columns: list[array] = []
         self.lines = 0
+        self.rows = 0
 
     def read(self, handle) -> None:
         blocks = _line_blocks(handle)
@@ -256,6 +262,8 @@ class _ColumnReader:
             longest = max(int(width.max(initial=0)), 1)
             if longest > _MAX_CELL_BYTES:
                 return False
+            if self.wanted is not None and header[j].strip() not in self.wanted:
+                continue  # a column not converted has only its widths checked
             # each cell's bytes from its start, those past its end cleared by
             # row w of a mask table whose row w keeps the first w bytes
             cells = np.lib.stride_tricks.sliding_window_view(buf, longest)[cell_starts]
@@ -268,6 +276,7 @@ class _ColumnReader:
             self._set_header(header)
         for column, part in zip(self.columns, values):
             column.frombytes(part.view(np.uint8))
+        self.rows += len(starts)
         return True
 
     def _quoted(self, blocks) -> None:
@@ -300,13 +309,16 @@ class _ColumnReader:
         if len(set(header)) != len(header):
             raise CliInputError(f"{self.path}: duplicate column names in header")
         self.header = header
-        self.columns = [array("d") for _ in header]
+        self.selected = [j for j, name in enumerate(header)
+                         if self.wanted is None or name in self.wanted]
+        self.columns = [array("d") for _ in self.selected]
 
     def _row(self, line: int, row: list[str]) -> None:
         """The reference rule for one row of ``csv.reader``: skip blank and
-        comment rows, take the first other row as the header, then strip each
-        cell, read "" and NA as missing and ``float`` the rest, which must be
-        finite. It raises at the row's first fault."""
+        comment rows, take the first other row as the header, then check the
+        field count, strip each converted cell, read "" and NA as missing and
+        ``float`` the rest, which must be finite. It raises at the row's first
+        fault."""
         if not row or row[0].startswith("#"):
             return
         if self.header is None:
@@ -316,8 +328,9 @@ class _ColumnReader:
             raise CliInputError(
                 f"{self.path}:{line}: expected {len(self.header)} fields, got {len(row)}"
             )
-        for column, cell in zip(self.columns, row):
-            cell = cell.strip()
+        self.rows += 1
+        for column, j in zip(self.columns, self.selected):
+            cell = row[j].strip()
             if cell == "" or cell == "NA":
                 column.append(math.nan)
                 continue
@@ -330,17 +343,25 @@ class _ColumnReader:
             column.append(value)
 
 
-def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
-    """The header and the columns of a CSV file, each a contiguous float64 array.
+def read_csv_columns(
+    path: Path, columns: list[str] | None = None
+) -> tuple[list[str], dict[str, np.ndarray]]:
+    """The header and the named ``columns`` of a CSV file (all of them for
+    None), each a contiguous float64 array; a name not in the header is left
+    out, for the caller to report.
 
-    Blocks of whole lines without a quote are split at their line ends and
-    commas in numpy, and each column's cells are converted by one string cast.
-    Where this finds a fault, or a cell numpy refuses (Unicode digits, say),
-    the block is read again by the reference rule (``_ColumnReader._row``),
-    which names the first fault. From the first quote on, every row goes
-    through ``csv.reader`` and the reference rule.
+    Only the named columns are converted, so only their cells must be
+    numbers; every cell of every row is still held to the structural rules:
+    UTF-8, the field count, and the csv module's field size limit. Blocks of
+    whole lines without a quote are split at their line ends and commas in
+    numpy, and each converted column's cells are cast by one string cast.
+    Where this finds a fault, a cell numpy refuses (Unicode digits, say) or
+    a cell over ``_MAX_CELL_BYTES`` in any column, the block is read again by
+    the reference rule (``_ColumnReader._row``), which names the first fault.
+    From the first quote on, every row goes through ``csv.reader`` and the
+    reference rule.
     """
-    table = _ColumnReader(path)
+    table = _ColumnReader(path, None if columns is None else set(columns))
     try:
         with open(path, "rb") as handle:
             table.read(handle)
@@ -352,12 +373,10 @@ def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
         ) from exc
     if table.header is None:
         raise CliInputError(f"{path}: empty file")
-    if not table.columns[0]:
+    if not table.rows:
         raise CliInputError(f"{path}: no data rows")
-    return table.header, {name: np.frombuffer(column)
-                          for name, column in zip(table.header, table.columns)}
-
-
+    return table.header, {table.header[j]: np.frombuffer(column)
+                          for j, column in zip(table.selected, table.columns)}
 
 
 @contextlib.contextmanager
@@ -552,11 +571,14 @@ def _require_columns(header: list[str], wanted: list[str], path: Path) -> None:
 # impute
 
 
+def _repeated(names: list[str]) -> list[str]:
+    return sorted({name for name in names if names.count(name) > 1})
+
+
 def _name_list(text: str, option: str) -> list[str]:
     """Column names of a comma separated option; a name given twice is unusable input."""
     names = [name.strip() for name in text.split(",") if name.strip()]
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
+    if repeated := _repeated(names):
         raise CliInputError(f"{option} names {', '.join(repeated)} more than once")
     return names
 
@@ -711,22 +733,26 @@ def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_density(args: argparse.Namespace, argv: list[str]) -> int:
     paths = [Path(p) for p in args.input_csv]
+    # the labels are checked before any file is read; a repeated label would
+    # give two curves one group
+    labels = _name_list(args.labels, "--labels") if args.labels else [p.stem for p in paths]
+    if not args.labels and (repeated := _repeated(labels)):
+        raise CliInputError(f"input files share the default label {', '.join(repeated)}; "
+                            "name each one with --labels")
+    if len(labels) != len(paths):
+        raise CliInputError("need exactly one label per input file")
     ref_path = Path(args.only_missing_from) if args.only_missing_from else None
     record = _make_record(argv, _resolve_seed(args.seed), paths + ([ref_path] if ref_path else []))
 
     row_mask = None
     if ref_path is not None:
-        ref_header, ref_data = read_csv_columns(ref_path)
+        ref_header, ref_data = read_csv_columns(ref_path, [args.column])
         _require_columns(ref_header, [args.column], ref_path)
         row_mask = np.isnan(ref_data[args.column])
 
-    labels = _name_list(args.labels, "--labels") if args.labels else [p.stem for p in paths]
-    if len(labels) != len(paths):
-        raise CliInputError("need exactly one label per input file")
-
     curves = []
     for path, label in zip(paths, labels):
-        header, data = read_csv_columns(path)
+        header, data = read_csv_columns(path, [args.column])
         _require_columns(header, [args.column], path)
         values = data[args.column]
         if row_mask is not None:

@@ -2,12 +2,13 @@
 
 Not a test module (no ``test_`` prefix): ``tests/test_csv_reader.py`` imports
 it and checks that the block reader returns the same header, the same column
-bits and the same error message. It reads the file through ``csv.reader`` and
-handles every cell in Python: strip, "" or NA as missing, ``float``, and the
-value must be finite. One difference is permitted: this reader decodes UTF-8
-in 8 KB chunks of the text stream, so a byte that is not UTF-8 in the same
-chunk as an earlier faulty row is reported instead of that row; the block
-reader reports the earlier fault.
+bits and the same error message. It reads the file through ``csv.reader``,
+holds every row to the header's field count, and handles every cell of the
+named columns (all of them for ``columns=None``) in Python: strip, "" or NA
+as missing, ``float``, and the value must be finite. One difference is
+permitted: this reader decodes UTF-8 in 8 KB chunks of the text stream, so a
+byte that is not UTF-8 in the same chunk as an earlier faulty row is reported
+instead of that row; the block reader reports the earlier fault.
 """
 
 import csv
@@ -20,8 +21,11 @@ import numpy as np
 from riimpute.cli import CliInputError
 
 
-def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
+def read_csv_columns(
+    path: Path, columns: list[str] | None = None
+) -> tuple[list[str], dict[str, np.ndarray]]:
     header = None
+    rows = 0
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -32,14 +36,17 @@ def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
                     header = [name.strip() for name in row]
                     if len(set(header)) != len(header):
                         raise CliInputError(f"{path}: duplicate column names in header")
-                    columns = [array("d") for _ in header]
+                    selected = [j for j, name in enumerate(header)
+                                if columns is None or name in columns]
+                    values = [array("d") for _ in selected]
                     continue
                 if len(row) != len(header):
                     raise CliInputError(
                         f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}"
                     )
-                for column, cell in zip(columns, row):
-                    cell = cell.strip()
+                rows += 1
+                for column, j in zip(values, selected):
+                    cell = row[j].strip()
                     if cell == "" or cell == "NA":
                         column.append(math.nan)
                         continue
@@ -62,6 +69,6 @@ def read_csv_columns(path: Path) -> tuple[list[str], dict[str, np.ndarray]]:
         ) from exc
     if header is None:
         raise CliInputError(f"{path}: empty file")
-    if not columns[0]:
+    if not rows:
         raise CliInputError(f"{path}: no data rows")
-    return header, {name: np.frombuffer(column) for name, column in zip(header, columns)}
+    return header, {header[j]: np.frombuffer(column) for j, column in zip(selected, values)}

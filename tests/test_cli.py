@@ -243,9 +243,15 @@ def test_reader_exits_2(tmp_path, capsys, content, message):
      "{no_rows}: no data rows"),
     (None, ["density", "{data}", "--column", "y", "--only-missing-from", "{no_rows}",
             "--output", "{out}.csv"], "{no_rows}: no data rows"),
+    # density converts only --column, and names a missing one after the read
+    (None, ["density", "{data}", "--column", "w", "--output", "{out}.csv"],
+     "{data}: missing columns ['w']; available: ['y', 'z']"),
+    (None, ["density", "{no_rows}", "--column", "w", "--output", "{out}.csv"],
+     "{no_rows}: no data rows"),
 ], ids=["seed-env", "label-count", "only-missing-from-rows", "unknown-target",
         "covariate-holes", "scenario-mechanism", "scenario-equals", "no-rows-ri", "no-rows-mar",
-        "no-rows-density", "no-rows-only-missing-from"])
+        "no-rows-density", "no-rows-only-missing-from", "unknown-density-column",
+        "no-rows-unknown-density-column"])
 def test_input_exits_2(tmp_path, capsys, caplog, monkeypatch, env, argv, message):
     files = {
         "data": "y,z\n1,0.5\n,1.5\n3,2.5\n4,3.5\n5,4\n",
@@ -756,6 +762,94 @@ def test_density_labels_are_a_name_list(tmp_path, capsys):
     assert main(["density", str(p1), str(p2), str(p1), "--column", "v",
                  "--labels", "ri,,mar", "--output", str(out)]) == 2
     assert capsys.readouterr().err.endswith("error: need exactly one label per input file\n")
+    assert not out.exists()
+
+
+def test_density_repeated_default_labels_exit_2_before_any_read(tmp_path, capsys):
+    """Each file's default label is its stem; two files with one stem would
+    share one group, so they exit 2 unless --labels names them. The labels
+    are checked before any file is read."""
+    paths = [tmp_path / "a" / "out.csv", tmp_path / "b" / "out.csv"]
+    for path in paths:
+        path.parent.mkdir()
+        write_csv(path, ["v"], {"v": RngStream(94, 0).generator.standard_normal(200)})
+    out = tmp_path / "density.csv"
+    message = "error: input files share the default label out; name each one with --labels\n"
+    assert main(["density", *map(str, paths), "--column", "v", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert main(["density", str(paths[0]), str(tmp_path / "absent" / "out.csv"),
+                 "--column", "v", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert main(["density", str(paths[0]), "--column", "v", "--labels", "a,b",
+                 "--only-missing-from", str(tmp_path / "absent.csv"), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: need exactly one label per input file\n"
+    assert not out.exists()
+    assert main(["density", *map(str, paths), "--column", "v", "--labels", "a,b",
+                 "--output", str(out)]) == 0
+
+
+def _respell(path, line, field, text):
+    """Set field ``field`` of physical line ``line`` (from 1) of ``path`` to
+    ``text``, or drop it for None."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    cells = lines[line - 1].split(",")
+    if text is None:
+        del cells[field]
+    else:
+        cells[field] = text
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.fixture
+def density_files(tmp_path):
+    """An input file (header on line 1), its imputed file (header on line 5,
+    after four comment lines), and the density command over them."""
+    data = tmp_path / "data.csv"
+    mnar_csv(data, n=200)
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["impute", str(data), "--target", "x1", "--covariates", "x2,x3",
+                     "--method", "mar", "-m", "1", "--seed", "1",
+                     "--output-prefix", str(tmp_path / "o")]) == 0
+    files = {"imputed": (tmp_path / "o_imp1.csv", 5), "only-missing-from": (data, 1)}
+    argv = ["density", str(files["imputed"][0]), "--column", "x1", "--labels", "imputed",
+            "--only-missing-from", str(data), "--output", str(tmp_path / "d.csv")]
+    return files, argv, tmp_path / "d.csv"
+
+
+def _curve_lines(path):
+    return [line for line in path.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("which", ["imputed", "only-missing-from"])
+@pytest.mark.parametrize("text", ["abc", "inf"])
+def test_density_does_not_convert_unused_columns(density_files, which, text):
+    """density converts only --column: a cell of another column that is no
+    finite number leaves the curve's bytes as they were."""
+    files, argv, out = density_files
+    assert main(argv) == 0
+    clean = _curve_lines(out)
+    path, header_line = files[which]
+    _respell(path, header_line + 3, 2, text)
+    assert main(argv) == 0
+    assert _curve_lines(out) == clean
+
+
+@pytest.mark.parametrize("which", ["imputed", "only-missing-from"])
+@pytest.mark.parametrize("field, text, message", [
+    (0, "abc", "non-numeric value 'abc'"),
+    (0, "inf", "non-finite value 'inf'"),
+    (2, None, "expected 3 fields, got 2"),
+    (1, "1,2", "expected 3 fields, got 4"),
+])
+def test_density_still_checks_its_column_and_every_field_count(density_files, capsys, which,
+                                                               field, text, message):
+    files, argv, out = density_files
+    path, header_line = files[which]
+    _respell(path, header_line + 3, field, text)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}:{header_line + 3}: {message}\n"
     assert not out.exists()
 
 

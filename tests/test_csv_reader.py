@@ -106,6 +106,9 @@ def test_cell_over_the_csv_field_limit_names_its_line(tmp_path):
     with pytest.raises(CliInputError) as excinfo:
         read_csv_columns(path)
     assert str(excinfo.value) == f"{path}:3: field larger than field limit (131072)"
+    # a cell of a column that is not converted is measured all the same
+    assert _outcome(read_csv_columns, path, ["x"]) == (
+        f"{path}:3: field larger than field limit (131072)")
     # a header cell too, with no quote in the file
     path.write_text("x," + "y" * 200_000 + "\n1,2\n", encoding="utf-8")
     assert _outcome(read_csv_columns, path) == f"{path}:1: field larger than field limit (131072)"
@@ -114,13 +117,14 @@ def test_cell_over_the_csv_field_limit_names_its_line(tmp_path):
 # ---------------------------------------------------------------------------
 # the block reader against the per-cell reader it replaced
 
-def _outcome(read, path):
-    """The header and each column's bytes, or the message of the fault."""
+def _outcome(read, path, columns=None):
+    """The header and each returned column's name and bytes, or the message
+    of the fault."""
     try:
-        header, columns = read(path)
+        header, data = read(path, columns)
     except CliInputError as exc:
         return str(exc)
-    return header, [columns[name].tobytes() for name in header]
+    return header, [(name, column.tobytes()) for name, column in data.items()]
 
 
 # cells float() reads: missing, padded, with underscores, and (in a quarter of
@@ -133,7 +137,9 @@ FAULTS = ["zz", "inf", "nan", "1.2.3", "1\0", "-", "4" * 131_073]
 
 @st.composite
 def csv_files(draw):
-    """A file's bytes and where its line that is not UTF-8 starts (or None).
+    """A file's bytes, where its line that is not UTF-8 starts (or None),
+    and the columns to read: all of them (None), or a non-empty subset of
+    the header's names.
 
     A header of 1-3 names (rarely repeated), up to 30 rows of numbers in
     several spellings and paddings and of odd cells, comment and blank lines
@@ -149,6 +155,8 @@ def csv_files(draw):
                           min_size=k, max_size=k, unique=True))
     if draw(st.integers(0, 9)) == 0:
         names[-1] = names[0].strip()
+    columns = draw(st.none() | st.lists(st.sampled_from([name.strip() for name in names]),
+                                        min_size=1, unique=True))
     number = st.floats(allow_nan=False, allow_infinity=False, width=64).flatmap(
         lambda v: st.sampled_from([repr(v), "%.17g" % v, "%.15g" % v]))
     odd = ODD_CELLS + REFUSED_CELLS * (draw(st.integers(0, 3)) == 0)
@@ -186,26 +194,26 @@ def csv_files(draw):
         bad = draw(st.sampled_from(starts))
         end = b"\r" if bad and text[bad - 1:bad] == b"\r" else b"\n"
         text = text[:bad] + draw(st.sampled_from([b"\xff", b"1,\xe2\x82", b"# \xc3("])) + end + text[bad:]
-    return text, bad
+    return text, bad, columns
 
 
 @settings(max_examples=400, deadline=None)
 @given(csv_files(), st.sampled_from([1, 2, 3, 7, 64, 4096, 1 << 18]))
 def test_block_reader_matches_the_per_cell_reader(tmp_path_factory, file, block_bytes):
-    text, bad = file
+    text, bad, columns = file
     if len(text) > 100_000:
         block_bytes = max(block_bytes, 4096)  # keep files with a long cell quick
     path = tmp_path_factory.mktemp("oracle") / "in.csv"
     path.write_bytes(text)
     with patch.object(cli, "_READ_BYTES", block_bytes):
-        got = _outcome(read_csv_columns, path)
-    expected = _outcome(csv_reader_oracle.read_csv_columns, path)
+        got = _outcome(read_csv_columns, path, columns)
+    expected = _outcome(csv_reader_oracle.read_csv_columns, path, columns)
     if bad is not None:
         # the one permitted difference: a fault before the line that is not
         # UTF-8 is reported, even where the per-cell reader's 8 KB decode
         # chunk reached that line first
         path.write_bytes(text[:bad])
-        earlier = _outcome(csv_reader_oracle.read_csv_columns, path)
+        earlier = _outcome(csv_reader_oracle.read_csv_columns, path, columns)
         if isinstance(earlier, str) and not earlier.endswith((": empty file", ": no data rows")):
             assert expected == earlier or "not valid UTF-8" in expected
             expected = earlier
@@ -236,7 +244,7 @@ def test_clean_blocks_take_no_per_cell_walk(tmp_path, text, block_bytes, n, walk
                          lambda self, line, row: rows.append(row) or reference(self, line, row)):
         got = _outcome(read_csv_columns, path)
     assert got == _outcome(csv_reader_oracle.read_csv_columns, path)
-    assert len(got[1][0]) == 8 * n
+    assert len(got[1][0][1]) == 8 * n
     assert [row for row in rows if row and not row[0].startswith("#")] == walked
 
 
