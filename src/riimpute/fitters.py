@@ -19,12 +19,12 @@ IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 25
 IRLS_COEF_CAP = 15.0
 _RANK_RTOL = 1e-10
-# From this many rows on, a vector dot product is summed by np.einsum rather
-# than BLAS, and ``ri_impute`` keeps its designs as ``_Columns``, whose
-# products einsum sums too, and runs its chains on a thread pool. OpenBLAS
-# splits a long dot product over its threads, which changes the sum's
-# rounding with the thread count, and its threads would compete with the
-# pool's; einsum sums in one fixed order on the calling thread.
+# From this many rows on, every n-long product of a fit is summed by np.einsum
+# rather than BLAS: a vector dot product, and the products of every design,
+# which is then a ``_Columns``; ``ri_impute`` also runs its chains on a thread
+# pool. OpenBLAS splits a long product over its threads, which changes the
+# sum's rounding with the thread count, and its threads would compete with
+# the pool's; einsum sums in one fixed order on the calling thread.
 _EINSUM_ROWS = 10_000
 
 
@@ -103,6 +103,8 @@ def _as_design(design, response, response_name: str):
     for name, values in (("design", design), (response_name, response)):
         if not np.isfinite(values).all():
             raise InvalidParameter(f"{name} must contain only finite values")
+    if len(design) >= _EINSUM_ROWS:
+        design = _Columns(np.asfortranarray(design))
     return design, response
 
 
@@ -179,6 +181,16 @@ class _Columns:
         return full.take(self._gram_order)
 
 
+def _with_intercept(covariates) -> np.ndarray:
+    """``np.column_stack([ones, covariates])`` in F order, for 1-d or 2-d
+    ``covariates``: filled column by column, with no C-order copy to transpose."""
+    columns = np.atleast_2d(np.transpose(covariates))
+    design = np.empty((len(columns) + 1, columns.shape[1]))
+    design[0] = 1.0
+    design[1:] = columns
+    return design.T
+
+
 def _matvec(x, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``x @ b``, written to ``out`` when given."""
     return x.matvec(b, out) if isinstance(x, _Columns) else np.matmul(x, b, out=out)
@@ -200,6 +212,10 @@ def ols_fit(design, response) -> LinearFit:
     Raises RankDeficient when the Gram matrix design' design is numerically
     singular (see ``_checked_inverse``), and InvalidParameter when the design
     or the response holds a NaN or an infinity.
+
+    From ``_EINSUM_ROWS`` rows on, the products are summed by np.einsum over
+    the design's columns, so the bits do not depend on the BLAS thread count;
+    a design that is not in F (column-major) order is copied into it first.
     """
     x, y = _as_design(design, response, "response")
     n, p = x.shape
@@ -335,7 +351,7 @@ def logistic_fit(design, indicator) -> LogisticFit:
     magnitude, NonConvergence after ``IRLS_MAX_ITER`` steps, and
     RankDeficient when the information matrix at the estimate is singular.
     A NaN or infinite cell raises InvalidParameter, like any indicator value
-    other than 0 and 1.
+    other than 0 and 1. Large designs are summed as in ``ols_fit``.
     """
     x, y = _as_design(design, indicator, "indicator")
     if not (np.all((y == 0) | (y == 1)) and y.min() == 0 and y.max() == 1):

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonConvergence, Separation, TooFewRows
-from .fitters import _EINSUM_ROWS, LinearFit, _Columns, _irls_work, _logistic, _matvec, _ols
+from .fitters import (_EINSUM_ROWS, LinearFit, _Columns, _irls_work, _logistic, _matvec, _ols,
+                      _with_intercept)
 from .rng import RngStream, _bernoulli, _mvnormal, mix_stream_id, sample_scaled_inv_chi2
 
 logger = logging.getLogger(__name__)
@@ -40,7 +41,9 @@ class IncompleteDataset:
     values are rejected in both. The dataset keeps read-only copies of its
     inputs, so later writes to the caller's arrays do not reach it, and
     splits the rows once: ``observed_mask`` (read-only), the counts, and the
-    ``[1, z]`` designs of the observed and of the missing rows. The sweeps
+    ``[1, z]`` designs of the observed and of the missing rows, which from
+    ``fitters._EINSUM_ROWS`` rows on are ``_Columns`` over read-only F-order
+    blocks, so every fit on them sums by einsum. The sweeps
     gather and scatter by the read-only row indices of the observed and of the
     missing rows, and read the observed target values from a read-only copy:
     an index array is about ten times faster than the mask.
@@ -52,8 +55,8 @@ class IncompleteDataset:
     covariate_names: tuple[str, ...] = ()
     observed_mask: np.ndarray = field(init=False, repr=False, compare=False)
     n_observed: int = field(init=False, repr=False, compare=False)
-    _observed_design: np.ndarray = field(init=False, repr=False, compare=False)
-    _missing_design: np.ndarray = field(init=False, repr=False, compare=False)
+    _observed_design: np.ndarray | _Columns = field(init=False, repr=False, compare=False)
+    _missing_design: np.ndarray | _Columns = field(init=False, repr=False, compare=False)
     _observed_rows: np.ndarray = field(init=False, repr=False, compare=False)
     _missing_rows: np.ndarray = field(init=False, repr=False, compare=False)
     _observed_target: np.ndarray = field(init=False, repr=False, compare=False)
@@ -84,10 +87,14 @@ class IncompleteDataset:
             raise InvalidParameter("target and covariates must not contain infinite values")
         observed = ~np.isnan(target)
         rows = np.flatnonzero(observed), np.flatnonzero(~observed)
-        designs = [np.column_stack([np.ones(len(r)), covariates[r]]) for r in rows]
+        large = len(target) >= _EINSUM_ROWS
+        designs = [_with_intercept(covariates[r]) if large
+                   else np.column_stack([np.ones(len(r)), covariates[r]]) for r in rows]
         observed_target = target[rows[0]]
         for array in (target, covariates, observed, *rows, *designs, observed_target):
             array.setflags(write=False)
+        if large:
+            designs = [_Columns(design) for design in designs]
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "covariates", covariates)
         object.__setattr__(self, "covariate_names", names)
@@ -157,7 +164,7 @@ def _adjustment_fit(data: IncompleteDataset, rdot: np.ndarray,
     return _ols(design, data._observed_target)
 
 
-def _impute_draw(data: IncompleteDataset, design, fit: LinearFit, rng: RngStream, rdot=None,
+def _impute_draw(data: IncompleteDataset, fit: LinearFit, rng: RngStream, rdot=None,
                  out: np.ndarray | None = None) -> np.ndarray:
     """One posterior imputation of the missing rows from an observed-rows fit.
 
@@ -169,7 +176,6 @@ def _impute_draw(data: IncompleteDataset, design, fit: LinearFit, rng: RngStream
     pseudo-observed, twice when pseudo-missing. Normal noise at the drawn
     residual variance is added. ``fit`` comes from data that passed
     ``require_fittable``, so it has at least two residual degrees of freedom.
-    ``design`` is ``data._missing_design``, or the same rows as ``_Columns``.
     The completed target is a copy of ``data.target``, or ``out``, a
     completed target whose missing rows are overwritten.
     """
@@ -182,7 +188,7 @@ def _impute_draw(data: IncompleteDataset, design, fit: LinearFit, rng: RngStream
     phi_dot = _mvnormal(fit.coefficients[phi], sigma2_dot * fit.gram_inverse[phi, phi], rng)
 
     mis = data._missing_rows
-    means = _matvec(design, phi_dot)
+    means = _matvec(data._missing_design, phi_dot)
     if rdot is not None:
         means += float(fit.coefficients[-1]) * (np.asarray(rdot)[mis] - 2.0)
     noise = rng.generator.standard_normal(data.n_missing)
@@ -212,7 +218,7 @@ def mar_impute(data: IncompleteDataset, m: int, rng: RngStream) -> list[np.ndarr
         return [data.target.copy() for _ in range(m)]
     data.require_imputable()
     fit = _mar_fit(data)
-    return [_impute_draw(data, data._missing_design, fit, rng) for _ in range(m)]
+    return [_impute_draw(data, fit, rng) for _ in range(m)]
 
 
 def _available_cpus() -> int:
@@ -278,20 +284,17 @@ def ri_impute(
     # 0s and 1s both occur (the return above, require_imputable); floats: no cast per IRLS product
     response = data.observed_mask.astype(float)
     if data.n < _EINSUM_ROWS:
-        missing_design = data._missing_design
-
         def workspace() -> tuple:
             selection = np.column_stack([np.ones(data.n), data.target, z_nr])
             adjustment = np.column_stack([data._observed_design, np.zeros(data.n_observed)])
             return selection, adjustment, _irls_work(selection)
     else:
-        selection_block = np.asfortranarray(np.column_stack([np.ones(data.n), z_nr]))
-        adjustment_block = np.asfortranarray(data._observed_design)
-        missing_design = _Columns(np.asfortranarray(data._missing_design))
+        selection_block = _with_intercept(z_nr)
 
         def workspace() -> tuple:
             selection = _Columns(selection_block, np.empty(data.n), at=1)
-            adjustment = _Columns(adjustment_block, np.empty(data.n_observed), at=k + 1)
+            adjustment = _Columns(data._observed_design.shared, np.empty(data.n_observed),
+                                  at=k + 1)
             return selection, adjustment, _irls_work(selection)
 
     # The completions and the workspaces are allocated on this thread: memory a
@@ -307,8 +310,8 @@ def ri_impute(
     def run(thread: int) -> None:
         for chain in range(thread, m, threads):
             try:
-                _chain(data, config, response, missing_design, spaces[thread],
-                       completions[chain], chain, warnings[chain])
+                _chain(data, config, response, spaces[thread], completions[chain], chain,
+                       warnings[chain])
             except Exception as exc:  # raised below, after the warnings of the chains before it
                 errors[chain] = exc
                 return
@@ -326,13 +329,13 @@ def ri_impute(
     return completions
 
 
-def _chain(data: IncompleteDataset, config: RiConfig, response: np.ndarray, missing_design,
-           workspace: tuple, completed: np.ndarray, chain: int, warnings: list[tuple]) -> None:
+def _chain(data: IncompleteDataset, config: RiConfig, response: np.ndarray, workspace: tuple,
+           completed: np.ndarray, chain: int, warnings: list[tuple]) -> None:
     """One chain's sweeps; see ``ri_impute``. Fills the missing rows of
     ``completed``, a copy of ``data.target``.
 
-    ``response`` and ``missing_design`` are shared with the other chains and
-    only read. ``workspace`` holds the selection and adjustment designs
+    ``response`` is shared with the other chains and only read.
+    ``workspace`` holds the selection and adjustment designs
     (arrays, or ``_Columns`` from ``_EINSUM_ROWS`` rows on) and the scratch
     rows that the selection fits and the pseudo-indicator draws share; each
     sweep overwrites the designs' target and rdot - 1 columns and the scratch.
@@ -362,14 +365,14 @@ def _chain(data: IncompleteDataset, config: RiConfig, response: np.ndarray, miss
                 rdot = _bernoulli(probability, rng, out=work[-1])
                 adjustment = _adjustment_fit(data, rdot, adjustment_design)
                 if adjustment is not None:
-                    _impute_draw(data, missing_design, adjustment, rng, rdot, out=completed)
+                    _impute_draw(data, adjustment, rng, rdot, out=completed)
                     break
             else:
                 fallback = ("pseudo indicator degenerate after %d redraws; sweep uses zero shift",
                             MAX_RDOT_REDRAWS)
         if fallback is not None:
             warnings.append(fallback)
-            _impute_draw(data, missing_design, _mar_fit(data), rng, out=completed)
+            _impute_draw(data, _mar_fit(data), rng, out=completed)
 
 
 def complete_case(data: IncompleteDataset) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from math import inf
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .fitters import ols_fit
+from .fitters import _EINSUM_ROWS, _with_intercept, ols_fit
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,16 @@ class PooledEstimate:
 
 
 def fit_analysis(covariates, target) -> AnalysisFit:
-    """OLS of target on an intercept plus the covariates; collinear ones raise RankDeficient."""
-    design = np.column_stack([np.ones(len(covariates)), covariates])
+    """OLS of target on an intercept plus the covariates; collinear ones raise RankDeficient.
+
+    From ``fitters._EINSUM_ROWS`` rows on, the design is built in F order,
+    which ``ols_fit`` sums by einsum without a copy.
+    """
+    n = len(covariates)
+    if n < _EINSUM_ROWS:
+        design = np.column_stack([np.ones(n), covariates])
+    else:
+        design = _with_intercept(covariates)
     fit = ols_fit(design, target)
     variances = fit.residual_variance * np.diag(fit.gram_inverse)
     return AnalysisFit(beta_hat=fit.coefficients, variances=variances, n=fit.n_rows)

@@ -47,7 +47,10 @@ stderr of ``impute`` (ri, mar and cc) and ``density`` (as input and as
 ``--only-missing-from``) on a file with a header and no data rows. Last, after
 the ``density_summary`` lines, comes the digest of the columns
 ``read_csv_columns`` returns for a 24 000-row file that spans several of its
-read blocks.
+read blocks. The very last line pins the analysis fits on their own:
+``fit_analysis`` on each of the 100 000-row ``mar_impute`` completions of
+the large-n line, then ``rubin_pool`` (its ``beta_hat`` and ``variances``,
+and the pooled ``q_bar``, ``t`` and ``df``).
 """
 
 from __future__ import annotations
@@ -71,9 +74,11 @@ from riimpute import (
     RngStream,
     builtin_scenario,
     density_summary,
+    fit_analysis,
     format_result_table,
     mar_impute,
     ri_impute,
+    rubin_pool,
     run_scenario,
 )
 from riimpute.cli import main, read_csv_columns
@@ -434,6 +439,18 @@ def large_reader_line() -> str:
             f"{_sha(*(columns[name] for name in header))}")
 
 
+def large_analysis_line() -> str:
+    """``fit_analysis`` on each ``mar_impute`` completion of the large-n line, then
+    ``rubin_pool``: the fits' ``beta_hat`` and ``variances``, and ``q_bar``, ``t`` and ``df``."""
+    data = mnar3_strong_data(LARGE_N)
+    fits = [fit_analysis(data.covariates, completed)
+            for completed in mar_impute(data, 5, RngStream(LARGE_N, 1))]
+    pooled = rubin_pool(fits, len(fits))
+    digest = _sha(*(array for fit in fits for array in (fit.beta_hat, fit.variances)),
+                  pooled.q_bar, pooled.t, pooled.df)
+    return f"fit_analysis+rubin_pool n={LARGE_N} mar_impute {digest}"
+
+
 def density_lines() -> list[str]:
     lines = []
     for n in DENSITY_SIZES:
@@ -453,4 +470,5 @@ if __name__ == "__main__":
     for line in pool_size_lines() + reader_digests() + failure_rule_lines() + density_lines():
         print(line)
     print(large_reader_line())
+    print(large_analysis_line())
     sys.exit(0)

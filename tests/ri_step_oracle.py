@@ -10,7 +10,7 @@ import numpy as np
 
 from riimpute import DimensionMismatch, IncompleteDataset, InvalidParameter, LinearFit
 from riimpute import NonresponseParams, RngStream
-from riimpute.fitters import _logistic
+from riimpute.fitters import _Columns, _logistic
 from riimpute.imputation import _adjustment_fit, _impute_draw
 from riimpute.rng import _mvnormal
 
@@ -31,7 +31,11 @@ def estimate_adjustment(data: IncompleteDataset, rdot) -> LinearFit:
         raise InvalidParameter("indicator must be a 1-d vector of 0s and 1s")
     if len(rdot) != data.n:
         raise DimensionMismatch(f"indicator has length {len(rdot)}, expected {data.n}")
-    design = np.column_stack([data._observed_design, np.zeros(data.n_observed)])
+    observed = data._observed_design
+    if isinstance(observed, _Columns):  # from _EINSUM_ROWS rows on, as in ri_impute
+        design = _Columns(observed.shared, np.zeros(data.n_observed), at=observed.shape[1])
+    else:
+        design = np.column_stack([observed, np.zeros(data.n_observed)])
     fit = _adjustment_fit(data, rdot, design)
     if fit is None:
         raise DegenerateRdot("pseudo indicator is constant among observed rows")
@@ -46,7 +50,7 @@ def impute_given_rdot(data: IncompleteDataset, rdot, rng: RngStream) -> np.ndarr
     ``z.phi + delta_adj * (rdot - 2)``: the shift applied once for
     pseudo-observed rows and twice for pseudo-missing rows.
     """
-    return _impute_draw(data, data._missing_design, estimate_adjustment(data, rdot), rng, rdot)
+    return _impute_draw(data, estimate_adjustment(data, rdot), rng, rdot)
 
 
 def draw_psi_posterior(

@@ -332,6 +332,26 @@ def test_columns_products_match_the_array_products(at):
         design[:, 2 if at != 2 else 1] = v
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [fitters._EINSUM_ROWS - 1, fitters._EINSUM_ROWS])
+def test_public_fits_sum_by_einsum_from_the_einsum_rows(n, order):
+    # below that row count the design goes to BLAS as given; from it on it is
+    # summed by einsum in F order, whatever the caller's layout
+    gen = RngStream(57, n).generator
+    x = np.column_stack([np.ones(n), gen.normal(0.0, 3.0, (n, 2))])
+    y = x @ [1.0, 0.5, -0.25] + gen.standard_normal(n)
+    r = (gen.random(n) < expit(x @ [-0.5, 0.3, 0.2])).astype(float)
+    design = np.asarray(x, order=order)
+    kernel_design = design if n < fitters._EINSUM_ROWS else _Columns(np.asfortranarray(x))
+    fit, expected = ols_fit(design, y), _ols(kernel_design, y)
+    assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+    assert fit.gram_inverse.tobytes() == expected.gram_inverse.tobytes()
+    assert fit.residual_variance == expected.residual_variance
+    fit, expected = logistic_fit(design, r), _logistic(kernel_design, r, np.zeros(3))
+    assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
+    assert fit.covariance.tobytes() == expected.covariance.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the selection fit from a start: fitters._logistic, the kernel ri_impute runs
 

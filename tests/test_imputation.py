@@ -120,16 +120,26 @@ def test_dataset_arrays_are_read_only():
 
 
 def test_dataset_stays_read_only_through_pickle():
-    data = IncompleteDataset(np.array([1.0, np.nan, 3.0, 4.0]), np.arange(8.0).reshape(4, 2),
-                             target_name="y", covariate_names=("a", "b"))
-    copy = pickle.loads(pickle.dumps(data))
-    assert (copy.target_name, copy.covariate_names) == ("y", ("a", "b"))
-    assert (copy.n_observed, copy.n_missing) == (3, 1)
-    for name in ("target", "covariates", "observed_mask", "_observed_design", "_missing_design"):
-        array = getattr(copy, name)
-        assert array.tobytes() == getattr(data, name).tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            array[:1] = array[:1]
+    for n in (4, imputation._EINSUM_ROWS):
+        target = np.arange(1.0, n + 1.0)
+        target[1] = np.nan
+        data = IncompleteDataset(target, np.arange(2.0 * n).reshape(n, 2),
+                                 target_name="y", covariate_names=("a", "b"))
+        copy = pickle.loads(pickle.dumps(data))
+        assert (copy.target_name, copy.covariate_names) == ("y", ("a", "b"))
+        assert (copy.n_observed, copy.n_missing) == (n - 1, 1)
+        for name in ("target", "covariates", "observed_mask", "_observed_design",
+                     "_missing_design"):
+            arrays = [getattr(copy, name), getattr(data, name)]
+            if name.endswith("_design") and n >= imputation._EINSUM_ROWS:
+                # the designs' F-order blocks, which the chains' threads share
+                assert all(isinstance(design, imputation._Columns) for design in arrays)
+                arrays = [design.shared for design in arrays]
+                assert arrays[0].flags.f_contiguous
+            assert arrays[0].tobytes() == arrays[1].tobytes()
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = array[:1]
 
 
 def test_dataset_rejects_infinite_values():
@@ -764,25 +774,76 @@ for completions in (ri_impute(data, RiConfig(iterations=10, num_imputations=5, s
 """
 
 
-def _blas_thread_digests(n, threads):
+# 300 000 rows, about 56% of them observed: OpenBLAS splits x' y over its
+# threads from about 150 000 rows with 3 design columns, so the observed-rows
+# fit of mar_impute, fit_analysis with 2 and 3 covariates, and ols_fit and
+# logistic_fit on C-order designs all cross that size. The last line is the
+# digest of what `impute --method mar -m 2` writes to its pooled JSON.
+BLAS_SPLIT_SCRIPT = """
+import hashlib
+from pathlib import Path
+import numpy as np
+from riimpute import (IncompleteDataset, RngStream, fit_analysis, logistic_fit, mar_impute,
+                      ols_fit, rubin_pool)
+from riimpute.cli import main
+def sha(*arrays):
+    return hashlib.sha256(b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)).hexdigest()
+n = 300_000
+gen = np.random.default_rng([24, n])
+z = np.column_stack([gen.normal(2.0, 2.0, n), gen.normal(-1.0, 1.0, n)])
+x = 1.0 + 0.5 * z[:, 0] + z[:, 1] + gen.standard_normal(n)
+observed = gen.random(n) < 1.0 / (1.0 + np.exp(1.0 - 1.5 * x))
+target = np.where(observed, x, np.nan)
+completions = mar_impute(IncompleteDataset(target, z), 2, RngStream(3, 1))
+print(sha(*completions))
+for covariates in (z, np.column_stack([z, gen.uniform(-1.0, 1.0, n)])):
+    fits = [fit_analysis(covariates, completed) for completed in completions]
+    pooled = rubin_pool(fits, 2)
+    print(sha(*(a for f in fits for a in (f.beta_hat, f.variances)), pooled.q_bar, pooled.t,
+              pooled.df))
+fit = ols_fit(np.column_stack([np.ones(n), z]), x)
+print(sha(fit.coefficients, fit.residual_variance, fit.gram_inverse))
+fit = logistic_fit(np.column_stack([np.ones(n), x, z[:, 0]]), observed)
+print(sha(fit.coefficients, fit.covariance))
+with open("input.csv", "w") as handle:
+    handle.write("x1,x2,x3\\n")
+    handle.writelines(f"{'' if t != t else repr(t)},{a!r},{b!r}\\n"
+                      for t, a, b in zip(target.tolist(), *z.T.tolist()))
+assert main(["impute", "input.csv", "--target", "x1", "--covariates", "x2,x3", "--method",
+             "mar", "-m", "2", "--seed", "11", "--output-prefix", "out"]) == 0
+print(hashlib.sha256(Path("out_pooled.json").read_bytes()).hexdigest())
+"""
+
+
+def _blas_thread_digests(threads, script, *args, cwd=None):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT, str(n)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
 
 
 def test_draws_do_not_depend_on_the_blas_thread_count_at_2000_rows():
-    single = _blas_thread_digests(2000, "1")
-    assert len(single) == 4 and _blas_thread_digests(2000, "2") == single
+    single = _blas_thread_digests("1", BLAS_THREADS_SCRIPT, "2000")
+    assert len(single) == 4 and _blas_thread_digests("2", BLAS_THREADS_SCRIPT, "2000") == single
 
 
 def test_draws_do_not_depend_on_the_blas_thread_count_at_100000_rows():
-    # OpenBLAS splits a dot product over threads from about 10 000 rows, which
-    # changes its sum; there every n-long dot and every chain product is einsum's
-    single = _blas_thread_digests(100_000, "1")
-    assert len(single) == 4 and _blas_thread_digests(100_000, "2") == single
+    # From about 10 000 rows on every n-long dot and every chain product is
+    # einsum's. At 100 000 rows the BLAS fits of older versions gave the same
+    # bits for any thread count too: OpenBLAS's gemv does not yet split x' y
+    # with 3 design columns there. The test at 300 000 rows covers them.
+    single = _blas_thread_digests("1", BLAS_THREADS_SCRIPT, "100000")
+    assert len(single) == 4 and _blas_thread_digests("2", BLAS_THREADS_SCRIPT, "100000") == single
+
+
+def test_fits_do_not_depend_on_the_blas_thread_count_at_300000_rows(tmp_path):
+    runs = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        runs.append(_blas_thread_digests(threads, BLAS_SPLIT_SCRIPT, cwd=tmp_path / threads))
+    assert len(runs[0]) == 6 and runs[1] == runs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ from riimpute import (
     DimensionMismatch,
     InvalidParameter,
     RankDeficient,
+    RiImputeError,
     RngStream,
     coverage,
     fit_analysis,
+    ols_fit,
     rubin_pool,
     single_fit_estimate,
 )
+from riimpute.fitters import _EINSUM_ROWS, _Columns, _ols
 
 
 def make_fit(beta, variances, n=100):
@@ -60,6 +63,46 @@ def test_fit_analysis_strict_rank():
     z = np.column_stack([np.arange(8.0), 2.0 * np.arange(8.0)])
     with pytest.raises(RankDeficient):
         fit_analysis(z, np.arange(8.0))
+
+
+@pytest.mark.parametrize("n", [_EINSUM_ROWS - 1, _EINSUM_ROWS])
+@pytest.mark.parametrize("shape", ["2-d", "1-d", "no covariates"])
+def test_fit_analysis_sums_by_blas_below_the_einsum_rows_and_by_einsum_from_them(n, shape):
+    gen = np.random.default_rng([24, n])
+    z = gen.normal(2.0, 2.0, (n, 2))
+    covariates = {"2-d": z, "1-d": z[:, 0], "no covariates": z[:, :0]}[shape]
+    target = 1.0 + z @ [0.5, 1.0] + gen.standard_normal(n)
+    design = np.column_stack([np.ones(n), covariates])
+    if n < _EINSUM_ROWS:
+        expected = ols_fit(design, target)
+    else:
+        expected = _ols(_Columns(np.asfortranarray(design)), target)
+    fit = fit_analysis(covariates, target)
+    assert fit.beta_hat.tobytes() == expected.coefficients.tobytes()
+    variances = expected.residual_variance * np.diag(expected.gram_inverse)
+    assert fit.variances.tobytes() == variances.tobytes() and fit.n == n
+
+
+@pytest.mark.parametrize("n", [_EINSUM_ROWS - 1, _EINSUM_ROWS])
+@pytest.mark.parametrize("fault", ["short target", "nan covariate", "inf target", "collinear"])
+def test_fit_analysis_raises_what_the_c_order_design_raises(n, fault):
+    z = np.random.default_rng([25, n]).normal(0.0, 1.0, (n, 2))
+    target = z[:, 0].copy()
+    if fault == "short target":
+        target = target[1:]
+    elif fault == "nan covariate":
+        z[n // 2, 1] = np.nan
+    elif fault == "inf target":
+        target[-1] = np.inf
+    else:
+        z[:, 1] = 2.0 * z[:, 0]
+    with pytest.raises(RiImputeError) as expected:
+        ols_fit(np.column_stack([np.ones(n), z]), target)
+    with pytest.raises(type(expected.value)) as raised:
+        fit_analysis(z, target)
+    # a singular Gram matrix's message cites its smallest eigenvalue, which
+    # einsum and BLAS sum to different bits
+    assert str(raised.value).split(":")[0] == str(expected.value).split(":")[0]
 
 
 # ---------------------------------------------------------------------------
