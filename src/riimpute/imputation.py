@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -143,8 +144,11 @@ class RiConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.iterations < 1 or self.num_imputations < 1:
-            raise InvalidParameter("iterations and num_imputations must be >= 1")
+        counts = (self.iterations, self.num_imputations)
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1
+                   for c in counts):
+            raise InvalidParameter("iterations and num_imputations must be >= 1 and integers, "
+                                   f"got {counts[0]!r} and {counts[1]!r}")
 
 
 def _adjustment_fit(data: IncompleteDataset, rdot: np.ndarray,
@@ -255,13 +259,17 @@ def ri_impute(
     threads, one per available CPU and at most one per chain, and their
     designs are column-major with every n-long product summed by einsum, not
     BLAS, so the draws are the same for any number of CPUs or BLAS threads.
-    Thread t runs chains t, t + T, ... in turn with its own workspace, and
-    stops at its first failing chain. Below that row count, in a worker
-    process (such as ``run_scenario``'s, whose parent already shares the CPUs
-    out) or with one CPU, T is 1 and the chains run one after another on the
-    calling thread. Then each chain's warnings are logged in chain order, and
-    the first failing chain's error is raised after the warnings of its own
-    sweeps and of every chain before it.
+    The threads share the chains out one sweep at a time, so that the chains
+    finish together: a free thread takes the chain with the most sweeps left
+    that no other thread is running (the lowest index on a tie), runs one
+    sweep of it with the thread's own workspace, and puts it back. Once a
+    chain has failed, no sweep of a later chain starts; the chains before it
+    still finish. Below that row count, in a worker process (such as
+    ``run_scenario``'s, whose parent already shares the CPUs out) or with one
+    CPU, T is 1 and the same rule runs the sweeps on the calling thread. Then
+    each chain's warnings are logged in chain order, and the first failing
+    chain's error is raised after the warnings of its own sweeps and of every
+    chain before it, as when the chains run one after another.
 
     The sweeps run private kernels without argument checks: every array they
     get is built here from the checked dataset. ``tests/ri_step_oracle.py``
@@ -303,24 +311,42 @@ def ri_impute(
     completions = [data.target.copy() for _ in range(m)]
     warnings: list[list[tuple]] = [[] for _ in range(m)]
     errors: list[Exception | None] = [None] * m
+    chains = [_chain(data, config.seed, response, completions[c], c, warnings[c])
+              for c in range(m)]
+    for chain in chains:
+        next(chain)
+    # sweeps left of each chain, 0 while a thread runs a sweep of it
+    ready = [config.iterations] * m
+    stop = m  # no sweep starts for a chain from the first failed one on
+    lock = threading.Lock()
     serial = data.n < _EINSUM_ROWS or multiprocessing.parent_process() is not None
     threads = 1 if serial else min(_available_cpus(), m)
     spaces = [workspace() for _ in range(threads)]
 
-    def run(thread: int) -> None:
-        for chain in range(thread, m, threads):
+    def run(space: tuple) -> None:
+        nonlocal stop
+        chain = left = None
+        while True:
+            with lock:
+                if chain is not None:  # put back the chain of the last sweep
+                    if errors[chain] is None:
+                        ready[chain] = left
+                    else:
+                        stop = min(stop, chain)
+                chain = max(range(stop), key=ready.__getitem__, default=None)
+                if chain is None or not ready[chain]:
+                    return
+                left, ready[chain] = ready[chain] - 1, 0
             try:
-                _chain(data, config, response, spaces[thread], completions[chain], chain,
-                       warnings[chain])
+                chains[chain].send(space)
             except Exception as exc:  # raised below, after the warnings of the chains before it
                 errors[chain] = exc
-                return
 
     if threads == 1:
-        run(0)
+        run(spaces[0])
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(threads)))
+            list(pool.map(run, spaces))
     for messages, error in zip(warnings, errors):
         for message in messages:
             logger.warning(*message)
@@ -329,26 +355,32 @@ def ri_impute(
     return completions
 
 
-def _chain(data: IncompleteDataset, config: RiConfig, response: np.ndarray, workspace: tuple,
-           completed: np.ndarray, chain: int, warnings: list[tuple]) -> None:
-    """One chain's sweeps; see ``ri_impute``. Fills the missing rows of
-    ``completed``, a copy of ``data.target``.
+def _chain(data: IncompleteDataset, seed: int, response: np.ndarray, completed: np.ndarray,
+           chain: int, warnings: list[tuple]):
+    """One chain of ``ri_impute`` as a generator that runs one sweep per
+    ``send``. Fills the missing rows of ``completed``, a copy of
+    ``data.target``.
 
+    Prime it with ``next``; then each ``send(workspace)`` runs one sweep with
+    that workspace, the first after resampling the starting values. The
+    chain's stream, its latest coefficient draw and ``completed`` stay with the
+    generator, so successive sweeps can run on different threads.
     ``response`` is shared with the other chains and only read.
     ``workspace`` holds the selection and adjustment designs
     (arrays, or ``_Columns`` from ``_EINSUM_ROWS`` rows on) and the scratch
     rows that the selection fits and the pseudo-indicator draws share; each
-    sweep overwrites the designs' target and rdot - 1 columns and the scratch.
+    sweep overwrites the designs' target and rdot - 1 columns and the scratch,
+    so any thread's workspace gives the same draws.
     Warnings are appended to ``warnings`` as ``logger.warning`` arguments, for
     the caller to log in chain order.
     """
+    selection_design, adjustment_design, work = yield
     from scipy.special import expit  # loaded on first use; see mechanism.response_probability
-    selection_design, adjustment_design, work = workspace
-    rng = RngStream(config.seed, mix_stream_id("ri-chain", chain))
+    rng = RngStream(seed, mix_stream_id("ri-chain", chain))
     completed[data._missing_rows] = rng.generator.choice(
         data._observed_target, size=data.n_missing, replace=True)
     psi_dot = np.zeros(selection_design.shape[1])
-    for _ in range(config.iterations):
+    while True:
         selection_design[:, 1] = completed
         fallback = None
         try:
@@ -373,6 +405,8 @@ def _chain(data: IncompleteDataset, config: RiConfig, response: np.ndarray, work
         if fallback is not None:
             warnings.append(fallback)
             _impute_draw(data, _mar_fit(data), rng, out=completed)
+        rdot = None  # an n-long array; not kept while the chain waits for its next sweep
+        selection_design, adjustment_design, work = yield
 
 
 def complete_case(data: IncompleteDataset) -> tuple[np.ndarray, np.ndarray]:

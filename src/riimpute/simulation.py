@@ -70,6 +70,10 @@ class ScenarioConfig:
             raise InvalidParameter("n must be at least 50")
         if self.replications < 1:
             raise InvalidParameter("replications must be >= 1")
+        if self.m < 2:
+            raise InvalidParameter(f"m must be >= 2 to pool the imputations, got {self.m}")
+        if self.iterations < 1:
+            raise InvalidParameter(f"iterations must be >= 1, got {self.iterations}")
         if not 0 <= self.master_seed < 2**64:
             raise InvalidParameter(
                 f"master_seed must be an integer in [0, 2**64), got {self.master_seed}"

@@ -248,10 +248,21 @@ def test_reader_exits_2(tmp_path, capsys, content, message):
      "{data}: missing columns ['w']; available: ['y', 'z']"),
     (None, ["density", "{no_rows}", "--column", "w", "--output", "{out}.csv"],
      "{no_rows}: no data rows"),
+    # pooling needs two imputations and a chain one sweep: refused before any replication runs
+    *[(None, ["simulate", "--scenario", "mcar", "-n", "50", "--replications", "3", *flag,
+              "--output", "{out}.csv"], f"InvalidParameter: {message}")
+      for flag, message in [(["-m", "1"], "m must be >= 2 to pool the imputations, got 1"),
+                            (["-m", "0"], "m must be >= 2 to pool the imputations, got 0"),
+                            (["--iterations", "0"], "iterations must be >= 1, got 0")]],
+    *[(None, ["simulate", "--scenario-file", "{%s}" % name, "--output", "{out}.csv"],
+       f"InvalidParameter: {message}")
+      for name, message in [("one_imputation", "m must be >= 2 to pool the imputations, got 1"),
+                            ("no_sweeps", "iterations must be >= 1, got 0")]],
 ], ids=["seed-env", "label-count", "only-missing-from-rows", "unknown-target",
         "covariate-holes", "scenario-mechanism", "scenario-equals", "no-rows-ri", "no-rows-mar",
         "no-rows-density", "no-rows-only-missing-from", "unknown-density-column",
-        "no-rows-unknown-density-column"])
+        "no-rows-unknown-density-column", "simulate-m-1", "simulate-m-0",
+        "simulate-iterations-0", "scenario-file-m-1", "scenario-file-iterations-0"])
 def test_input_exits_2(tmp_path, capsys, caplog, monkeypatch, env, argv, message):
     files = {
         "data": "y,z\n1,0.5\n,1.5\n3,2.5\n4,3.5\n5,4\n",
@@ -260,6 +271,8 @@ def test_input_exits_2(tmp_path, capsys, caplog, monkeypatch, env, argv, message
         "holes": "y,z\n1,0.5\n,1.5\n3,\n4,3.5\n5,4\n",
         "no_mechanism": "n = 100\n",
         "no_equals": "mechanism = mcar\nreplications 2\n",
+        "one_imputation": "mechanism = mcar\nn = 50\nreplications = 3\nm = 1\n",
+        "no_sweeps": "mechanism = mcar\nn = 50\nreplications = 3\niterations = 0\n",
     }
     names = {"out": tmp_path / "out"}
     for name, text in files.items():

@@ -609,6 +609,22 @@ def test_imputers_reject_zero_counts():
         mar_impute(_mnar_dataset(53, n=60)[0], 0, RngStream(1, 0))
 
 
+@pytest.mark.parametrize("counts", [
+    {"iterations": 2.5}, {"num_imputations": 2.0}, {"iterations": True},
+    {"num_imputations": np.float64(3.0)}, {"iterations": "3"},
+])
+def test_ri_config_rejects_counts_that_are_no_integers(counts):
+    with pytest.raises(InvalidParameter, match="must be >= 1 and integers"):
+        RiConfig(**counts)
+
+
+def test_ri_config_accepts_numpy_integer_counts():
+    config = RiConfig(iterations=np.int64(2), num_imputations=np.int32(2), seed=3)
+    data = _mnar_dataset(53, n=60)[0]
+    expected = ri_impute(data, RiConfig(iterations=2, num_imputations=2, seed=3))
+    assert [c.tobytes() for c in ri_impute(data, config)] == [c.tobytes() for c in expected]
+
+
 def test_ri_non_finite_selection_draw_raises(monkeypatch):
     # the chain checks its coefficient draw, as NonresponseParams would
     monkeypatch.setattr(imputation, "_mvnormal", lambda mean, cov, rng: np.full(len(mean), np.nan))
@@ -858,8 +874,8 @@ def pool_data():
 
 
 def _run(monkeypatch, caplog, data, config, *, serial, cpus=2):
-    """ri_impute's completions (or its error) and log, with the chains run one
-    after another as in a worker process, or on a pool of ``cpus`` threads."""
+    """ri_impute's completions (or its error) and log, with the sweeps run on
+    the calling thread as in a worker process, or on a pool of ``cpus`` threads."""
     with monkeypatch.context() as patch:
         patch.setattr(imputation, "_available_cpus", lambda: cpus)
         if serial:
@@ -873,9 +889,14 @@ def _run(monkeypatch, caplog, data, config, *, serial, cpus=2):
         return outcome, [record.getMessage() for record in caplog.records]
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_chain_pool_gives_the_serial_bytes_for_any_cpu_count(monkeypatch, caplog, pool_data, cpus):
-    config = RiConfig(iterations=4, num_imputations=5, seed=2)
+@pytest.mark.parametrize("cpus, m", [
+    pytest.param(cpus, m, id=str(cpus) if m == 5 else f"{cpus}-m{m}")
+    for m in (1, 3, 5) for cpus in (1, 2, 4)
+])
+def test_chain_pool_gives_the_serial_bytes_for_any_cpu_count(monkeypatch, caplog, pool_data, cpus,
+                                                             m):
+    # chains move between threads from sweep to sweep when m is not a multiple of the threads
+    config = RiConfig(iterations=4, num_imputations=m, seed=2)
     started = []
     pool_class = imputation.ThreadPoolExecutor
 
@@ -887,19 +908,75 @@ def test_chain_pool_gives_the_serial_bytes_for_any_cpu_count(monkeypatch, caplog
     serial = _run(monkeypatch, caplog, pool_data, config, serial=True)
     assert started == []
     assert _run(monkeypatch, caplog, pool_data, config, serial=False, cpus=cpus) == serial
-    assert started == ([] if cpus == 1 else [cpus])  # one CPU runs the chains inline
+    threads = min(cpus, m)
+    assert started == ([] if threads == 1 else [threads])  # one thread runs the chains inline
 
 
-@pytest.mark.parametrize("m, expected", [
-    (4, [SEPARATED] * 3 + [NOT_CONVERGED] * 3),
-    (5, ((RankDeficient, "chain 2"), [SEPARATED] * 3)),
-], ids=["warnings", "first-error"])
+def test_chain_pool_shares_the_sweeps_out_evenly(monkeypatch, caplog, pool_data):
+    # Every sweep fits the selection model once, on the thread that runs the
+    # sweep. With the fit slowed down, 5 chains of 4 sweeps on 2 threads take
+    # 10 sweeps each; a fixed share of chains per thread would run 12 and 8.
+    config = RiConfig(iterations=4, num_imputations=5, seed=2)
+    serial = _run(monkeypatch, caplog, pool_data, config, serial=True)
+    fits = {}
+    logistic = imputation._logistic
+
+    def slow_logistic(*args):
+        thread = threading.get_ident()
+        fits[thread] = fits.get(thread, 0) + 1
+        time.sleep(0.05)
+        return logistic(*args)
+
+    monkeypatch.setattr(imputation, "_logistic", slow_logistic)
+    assert _run(monkeypatch, caplog, pool_data, config, serial=False, cpus=2) == serial
+    assert len(fits) == 2 and sum(fits.values()) == 20 and max(fits.values()) <= 11
+
+
+def test_chain_pool_runs_each_sweep_once_under_fast_thread_switching(monkeypatch, caplog,
+                                                                     pool_data):
+    # More threads than CPUs, switching every microsecond, over many sweeps that
+    # do no work but hand the interpreter on: a lost update to the shared sweep
+    # counts would run a chain on two threads at once, or run too many or too
+    # few of its sweeps.
+    sweeps, active, overlaps = [0] * 7, set(), []
+
+    def counted_chain(data, seed, response, completed, chain, warnings):
+        yield
+        while True:
+            if chain in active:
+                overlaps.append(chain)
+            active.add(chain)
+            sweeps[chain] += 1
+            time.sleep(0)
+            active.discard(chain)
+            yield
+
+    monkeypatch.setattr(imputation, "_chain", counted_chain)
+    config = RiConfig(iterations=300, num_imputations=7, seed=6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run(monkeypatch, caplog, pool_data, config, serial=False, cpus=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert overlaps == [] and sweeps == [300] * 7
+
+
+@pytest.mark.parametrize("m, expected, cpus", [
+    pytest.param(m, expected, cpus, id=name if cpus == 2 else f"{name}-{cpus}cpus")
+    for cpus in (2, 4) for name, m, expected in [
+        ("warnings", 4, [SEPARATED] * 3 + [NOT_CONVERGED] * 3),
+        ("first-error", 5, ((RankDeficient, "chain 2"), [SEPARATED] * 3)),
+    ]
+])
 def test_chain_pool_keeps_warnings_and_the_first_error_in_chain_order(monkeypatch, caplog,
-                                                                     pool_data, m, expected):
-    # chain 1 is slowed down, so the chains after it finish first. Chains 1 and 3
-    # take the zero-shift fallback in every sweep, each with its own warning; at
-    # m = 5, chains 2 and 4 raise, and chain 2's error is the one raised, after
-    # the warnings of chains 0-1 and before any of chain 3's
+                                                                     pool_data, m, expected,
+                                                                     cpus):
+    # every sweep of chain 1 is slowed down, so the chains after it finish
+    # first. Chains 1 and 3 take the zero-shift fallback in every sweep, each
+    # with its own warning; at m = 5, chains 2 and 4 raise, and chain 2's error
+    # is the one raised, after the warnings of chains 0-1 and before any of
+    # chain 3's. A sweep may run on any thread, so each one records its chain.
     current = threading.local()
     chain, logistic = imputation._chain, imputation._logistic
     errors = {1: Separation("s"), 3: NonConvergence("c")}
@@ -907,10 +984,14 @@ def test_chain_pool_keeps_warnings_and_the_first_error_in_chain_order(monkeypatc
         errors.update({2: RankDeficient("chain 2"), 4: RankDeficient("chain 4")})
 
     def slow_chain(*args):
-        current.chain = args[-2]
-        if current.chain == 1:
-            time.sleep(0.5)
-        return chain(*args)
+        sweeps = chain(*args)
+        next(sweeps)
+        while True:
+            space = yield
+            current.chain = args[-2]
+            if current.chain == 1:
+                time.sleep(0.15)
+            sweeps.send(space)
 
     def failing_logistic(*args):
         if current.chain in errors:
@@ -921,8 +1002,43 @@ def test_chain_pool_keeps_warnings_and_the_first_error_in_chain_order(monkeypatc
     monkeypatch.setattr(imputation, "_logistic", failing_logistic)
     config = RiConfig(iterations=3, num_imputations=m, seed=4)
     serial = _run(monkeypatch, caplog, pool_data, config, serial=True)
-    assert _run(monkeypatch, caplog, pool_data, config, serial=False) == serial
+    assert _run(monkeypatch, caplog, pool_data, config, serial=False, cpus=cpus) == serial
     assert (serial[1] if m == 4 else serial) == expected
+
+
+def test_chain_pool_starts_no_sweep_of_a_chain_after_a_failed_one(monkeypatch, caplog, pool_data):
+    # Chain 2 raises in its first sweep, which it starts while chain 1's first
+    # sweep runs. From then on the threads run only chains 0 and 1, to the end,
+    # as when the chains run one after another; a fixed share of chains per
+    # thread would also run chains 3 and 4.
+    current = threading.local()
+    chain, logistic = imputation._chain, imputation._logistic
+    sweeps = [0] * 5
+
+    def counted_chain(*args):
+        inner = chain(*args)
+        next(inner)
+        while True:
+            space = yield
+            current.chain = args[-2]
+            sweeps[current.chain] += 1
+            if current.chain == 1:
+                time.sleep(0.1)
+            inner.send(space)
+
+    def failing_logistic(*args):
+        if current.chain == 2:
+            raise RankDeficient("chain 2")
+        return logistic(*args)
+
+    monkeypatch.setattr(imputation, "_chain", counted_chain)
+    monkeypatch.setattr(imputation, "_logistic", failing_logistic)
+    config = RiConfig(iterations=3, num_imputations=5, seed=4)
+    serial = _run(monkeypatch, caplog, pool_data, config, serial=True)
+    assert serial == ((RankDeficient, "chain 2"), []) and sweeps == [3, 3, 1, 0, 0]
+    sweeps[:] = [0] * 5
+    assert _run(monkeypatch, caplog, pool_data, config, serial=False, cpus=2) == serial
+    assert sweeps == [3, 3, 1, 0, 0]
 
 
 def test_run_scenario_workers_run_their_chains_serially(monkeypatch):
