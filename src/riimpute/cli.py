@@ -27,7 +27,7 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,14 +74,14 @@ class CliRunRecord:
     command: str
     seed: int
     version: str
-    input_digest: str
+    input_sha256: str
 
     def header_lines(self) -> tuple[str, ...]:
         return (
             f"command: {self.command}",
             f"seed: {self.seed}",
             f"version: riimpute {self.version}",
-            f"input-sha256: {self.input_digest}",
+            f"input-sha256: {self.input_sha256}",
         )
 
 
@@ -98,7 +98,7 @@ def _make_record(argv: list[str], seed: int, input_paths: list[Path]) -> CliRunR
         command="riimpute " + " ".join(argv),
         seed=seed,
         version=__version__,
-        input_digest=digest.hexdigest() if input_paths else "none",
+        input_sha256=digest.hexdigest() if input_paths else "none",
     )
 
 
@@ -145,18 +145,31 @@ def _line_blocks(handle):
 
     A block ends after a newline, or after a carriage return whose next byte
     is known, so no block splits a \\r\\n; only the last block may end
-    without a line end.
+    without a line end. This is where the reader checks UTF-8: of a block
+    that is not UTF-8, the whole lines before its first bad byte are yielded
+    and then the ``UnicodeDecodeError`` is raised, so a fault in those lines
+    is reported first.
     """
     pending = []
-    while data := handle.read(_READ_BYTES):
+    while True:
+        data = handle.read(_READ_BYTES)
         cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
-        if cut:
+        if cut or not data:  # the end of the file ends the last block
             pending.append(data[:cut])
-            yield b"".join(pending)
+            block = b"".join(pending)
             pending = []
+            if not block.isascii():
+                try:
+                    block.decode()
+                except UnicodeDecodeError as exc:
+                    end = exc.start
+                    yield block[:max(block.rfind(b"\n", 0, end), block.rfind(b"\r", 0, end)) + 1]
+                    raise
+            if block:
+                yield block
+        if not data:
+            return
         pending.append(data[cut:])
-    if tail := b"".join(pending):
-        yield tail
 
 
 def _line_spans(buf: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -171,11 +184,6 @@ def _line_spans(buf: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     if starts[-1] < size:  # the last line has no line end
         return starts, np.append(ends, size)
     return starts[:-1], ends
-
-
-def _lines_before(block: bytes, offset: int) -> bytes:
-    """The whole lines of ``block`` that end before byte ``offset``."""
-    return block[:max(block.rfind(b"\n", 0, offset), block.rfind(b"\r", 0, offset)) + 1]
 
 
 def _cell_values(cells: np.ndarray) -> np.ndarray | None:
@@ -216,34 +224,25 @@ class _ColumnReader:
         for block in blocks:
             if b'"' in block:
                 # a quoted cell may hold commas and line ends, and may span blocks
-                self._quoted(itertools.chain([block], blocks))
+                self._walk(itertools.chain([block], blocks))
                 return
-            if not block.isascii():
-                try:
-                    block.decode()
-                except UnicodeDecodeError as exc:
-                    # the lines before the byte come first: a fault there is reported
-                    self._block(_lines_before(block, exc.start))
-                    raise
-            self._block(block)
+            if b"\0" in block or not self._bulk(block):
+                self._walk([block])
 
-    def _block(self, block: bytes) -> None:
+    def _bulk(self, block: bytes) -> bool:
+        """Read a block without quotes or NUL bytes in numpy and count its
+        lines; False, with nothing taken, if the block needs the reference
+        rule: a fault, a cell numpy's cast refuses, or a cell over
+        ``_MAX_CELL_BYTES``."""
         buf = np.frombuffer(block + bytes(_MAX_CELL_BYTES), np.uint8)
         starts, ends = _line_spans(buf, len(block))
-        if b"\0" in block or not self._bulk(block, buf, starts, ends):
-            self._walk(io.StringIO(block.decode(), newline=""))
-        self.lines += len(ends)
-
-    def _bulk(self, block: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> bool:
-        """Read a block without quotes or NUL bytes in numpy, from its bytes
-        ``buf`` (padded with ``_MAX_CELL_BYTES`` zeros) and its line spans;
-        False, with nothing taken, if the block needs the reference rule: a
-        fault, a cell numpy's cast refuses, or a cell over ``_MAX_CELL_BYTES``."""
+        lines = len(ends)
         kept = (ends > starts) & (buf[starts] != ord("#"))
         starts, ends = starts[kept], ends[kept]
         header = self.header
         if header is None:
             if not len(starts):
+                self.lines += lines
                 return True
             header = block[starts[0]:ends[0]].decode().split(",")
             if max(map(len, header)) > csv.field_size_limit():
@@ -277,32 +276,22 @@ class _ColumnReader:
         for column, part in zip(self.columns, values):
             column.frombytes(part.view(np.uint8))
         self.rows += len(starts)
+        self.lines += lines
         return True
 
-    def _quoted(self, blocks) -> None:
-        """Read the rest of the file by the reference rule; ``csv.reader`` is
-        the only tokenizer here for quoted and multi-line cells."""
-
-        def lines():
-            for block in blocks:
-                try:
-                    text = block.decode()
-                except UnicodeDecodeError as exc:
-                    yield from io.StringIO(_lines_before(block, exc.start).decode(), newline="")
-                    raise
-                yield from io.StringIO(text, newline="")
-
-        self._walk(lines())
-
-    def _walk(self, lines) -> None:
-        """Read ``lines``, which start after the physical lines read so far,
-        by the reference rule, row by row of ``csv.reader``."""
-        reader = csv.reader(lines)
+    def _walk(self, blocks) -> None:
+        """Read ``blocks``, which start after the physical lines read so far,
+        by the reference rule, row by row of ``csv.reader``, and count their
+        lines; ``csv.reader`` is the only tokenizer for quoted and multi-line
+        cells."""
+        reader = csv.reader(itertools.chain.from_iterable(
+            io.StringIO(block.decode(), newline="") for block in blocks))
         try:
             for row in reader:
                 self._row(self.lines + reader.line_num, row)
         except csv.Error as exc:  # such as a cell over the csv module's field size limit
             raise CliInputError(f"{self.path}:{self.lines + reader.line_num}: {exc}") from exc
+        self.lines += reader.line_num
 
     def _set_header(self, row: list[str]) -> None:
         header = [name.strip() for name in row]
@@ -586,6 +575,9 @@ def _name_list(text: str, option: str) -> list[str]:
 def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
     path = Path(args.input_csv)
     seed = _resolve_seed(args.seed)
+    # the counts are checked for every method, before any file is read
+    config = RiConfig(iterations=args.iterations, num_imputations=args.m,
+                      seed=mix_stream_id(seed, "cli-ri"))
     record = _make_record(argv, seed, [path])
     header, data = read_csv_columns(path)
     covariate_names = _name_list(args.covariates, "--covariates")
@@ -624,10 +616,8 @@ def _cmd_impute(args: argparse.Namespace, argv: list[str]) -> int:
     else:
         rng = RngStream(seed, mix_stream_id("cli-impute"))
         if args.method == "mar":
-            completions = mar_impute(dataset, args.m, rng)
+            completions = mar_impute(dataset, config.num_imputations, rng)
         else:
-            config = RiConfig(iterations=args.iterations, num_imputations=args.m,
-                              seed=mix_stream_id(seed, "cli-ri"))
             completions = ri_impute(dataset, config, nonresponse_columns=nonresponse_columns)
         if covariate_names and len(completions) >= 2:
             fits = [fit_analysis(covariates, completed) for completed in completions]
@@ -665,8 +655,6 @@ def _imputed_files(header: list[str], data: dict[str, np.ndarray], target: str,
 
 
 def _write_pooled(args: argparse.Namespace, names: list[str], pooled, record: CliRunRecord) -> None:
-    run = {"command": record.command, "seed": record.seed, "version": record.version,
-           "input_sha256": record.input_digest}
     analysis = [
         {
             "coefficient": name,
@@ -678,7 +666,7 @@ def _write_pooled(args: argparse.Namespace, names: list[str], pooled, record: Cl
         }
         for j, name in enumerate(names)
     ]
-    payload = {"run": run, "method": args.method, "analysis": analysis}
+    payload = {"run": asdict(record), "method": args.method, "analysis": analysis}
     out_path = Path(f"{args.output_prefix}_pooled.json")
     with _writing(out_path) as handle:
         handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -135,6 +135,11 @@ class IncompleteDataset:
             )
 
 
+def _is_integer(value) -> bool:
+    """Whether a count or index is an integer: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RiConfig:
     """Settings for the random-indicator imputer."""
@@ -145,8 +150,7 @@ class RiConfig:
 
     def __post_init__(self) -> None:
         counts = (self.iterations, self.num_imputations)
-        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1
-                   for c in counts):
+        if not all(_is_integer(c) and c >= 1 for c in counts):
             raise InvalidParameter("iterations and num_imputations must be >= 1 and integers, "
                                    f"got {counts[0]!r} and {counts[1]!r}")
 
@@ -215,6 +219,8 @@ def mar_impute(data: IncompleteDataset, m: int, rng: RngStream) -> list[np.ndarr
     noninformative posterior of the observed-rows regression, then predict
     missing rows and add noise.
     """
+    if not _is_integer(m):
+        raise InvalidParameter(f"m must be an integer, got {m!r}")
     if m < 1:
         raise InvalidParameter("m must be >= 1")
     if data.n_missing == 0:
@@ -278,9 +284,7 @@ def ri_impute(
     """
     k = data.n_covariates
     cols = list(range(k)) if nonresponse_columns is None else list(nonresponse_columns)
-    if not all(
-        isinstance(c, (int, np.integer)) and not isinstance(c, bool) and 0 <= c < k for c in cols
-    ) or len(set(cols)) < len(cols):
+    if not all(_is_integer(c) and 0 <= c < k for c in cols) or len(set(cols)) < len(cols):
         raise InvalidParameter(f"nonresponse columns {tuple(cols)} must be distinct "
                                f"integer indices of the {k} covariates")
     if data.n_missing == 0:

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateSample, InvalidParameter, RiImputeError
-from .imputation import (IncompleteDataset, RiConfig, _available_cpus, complete_case, mar_impute,
-                         ri_impute)
+from .imputation import (IncompleteDataset, RiConfig, _available_cpus, _is_integer, complete_case,
+                         mar_impute, ri_impute)
 from .mechanism import NonresponseParams, generate_missingness
 from .pooling import PooledEstimate, coverage, fit_analysis, rubin_pool, single_fit_estimate
 from .rng import RngStream, mix_stream_id
@@ -66,6 +66,9 @@ class ScenarioConfig:
         if len(self.beta) != 3:
             raise InvalidParameter("beta must have three entries")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        for name in ("n", "replications", "m", "iterations"):
+            if not _is_integer(getattr(self, name)):
+                raise InvalidParameter(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 50:
             raise InvalidParameter("n must be at least 50")
         if self.replications < 1:
@@ -74,7 +77,7 @@ class ScenarioConfig:
             raise InvalidParameter(f"m must be >= 2 to pool the imputations, got {self.m}")
         if self.iterations < 1:
             raise InvalidParameter(f"iterations must be >= 1, got {self.iterations}")
-        if not 0 <= self.master_seed < 2**64:
+        if not (_is_integer(self.master_seed) and 0 <= self.master_seed < 2**64):
             raise InvalidParameter(
                 f"master_seed must be an integer in [0, 2**64), got {self.master_seed}"
             )
@@ -227,6 +230,8 @@ def run_scenario(config: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     and skipped; the run errors out, naming the counts, only when more than 5%
     of them fail. Results are identical for any ``n_jobs`` >= 1.
     """
+    if not _is_integer(n_jobs):
+        raise InvalidParameter(f"n_jobs must be an integer, got {n_jobs!r}")
     if n_jobs < 1:
         raise InvalidParameter(f"n_jobs must be >= 1, got {n_jobs}")
     indices = range(config.replications)

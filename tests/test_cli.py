@@ -258,11 +258,19 @@ def test_reader_exits_2(tmp_path, capsys, content, message):
        f"InvalidParameter: {message}")
       for name, message in [("one_imputation", "m must be >= 2 to pool the imputations, got 1"),
                             ("no_sweeps", "iterations must be >= 1, got 0")]],
+    # impute checks -m and --iterations for every method, before it reads its input
+    *[(None, ["impute", "{no_rows}", "--target", "y", "--covariates", "z", "--method", method,
+              *flag, "--output-prefix", "{out}"],
+       f"InvalidParameter: iterations and num_imputations must be >= 1 and integers, got {got}")
+      for method, flag, got in [("cc", ["-m", "-3"], "10 and -3"),
+                                ("mar", ["--iterations", "-1"], "-1 and 5"),
+                                ("ri", ["-m", "0"], "10 and 0")]],
 ], ids=["seed-env", "label-count", "only-missing-from-rows", "unknown-target",
         "covariate-holes", "scenario-mechanism", "scenario-equals", "no-rows-ri", "no-rows-mar",
         "no-rows-density", "no-rows-only-missing-from", "unknown-density-column",
         "no-rows-unknown-density-column", "simulate-m-1", "simulate-m-0",
-        "simulate-iterations-0", "scenario-file-m-1", "scenario-file-iterations-0"])
+        "simulate-iterations-0", "scenario-file-m-1", "scenario-file-iterations-0",
+        "impute-cc-m-3", "impute-mar-iterations-1", "impute-ri-m-0"])
 def test_input_exits_2(tmp_path, capsys, caplog, monkeypatch, env, argv, message):
     files = {
         "data": "y,z\n1,0.5\n,1.5\n3,2.5\n4,3.5\n5,4\n",

@@ -259,6 +259,27 @@ def test_a_fault_before_a_byte_that_is_not_utf8_is_reported_first(tmp_path):
     assert _outcome(read_csv_columns, path) == f"{path}:3: non-numeric value 'zz'"
     path.write_bytes(b'y,z\n"1",2\n3,4\n\xff\n')
     assert _outcome(read_csv_columns, path) == f"{path}: not valid UTF-8 (byte 0xff)"
+    # with blocks of about 8 bytes: the byte three blocks after the faulty cell,
+    # and two blocks after the block of the file's first quote
+    with patch.object(cli, "_READ_BYTES", 8):
+        path.write_bytes(b"y,z\n1,zz\n" + b"2,3\n" * 4 + b"\xff\n")
+        assert _outcome(read_csv_columns, path) == f"{path}:2: non-numeric value 'zz'"
+        path.write_bytes(b'y,z\n"1",2\n3,4\n5,zz\n6,7\n8,9\n\xff\n')
+        assert _outcome(read_csv_columns, path) == f"{path}:4: non-numeric value 'zz'"
+        path.write_bytes(b'y,z\n"1",2\n3,4\n5,6\n6,7\n8,9\n\xff\n')
+        assert _outcome(read_csv_columns, path) == f"{path}: not valid UTF-8 (byte 0xff)"
+
+
+def test_a_block_read_by_the_reference_rule_counts_its_physical_lines(tmp_path):
+    # numpy refuses the first block's Unicode digits, so csv.reader reads that
+    # block; the fault two blocks later must still name its physical line
+    path = tmp_path / "in.csv"
+    path.write_bytes("y,z\n١٢٣,1\r\n# c\r\r\n5,6\n# d\r\n7,8\n9,10\n4,zz\n".encode())
+    with patch.object(cli, "_READ_BYTES", 20), path.open("rb") as handle:
+        assert [len(block) for block in cli._line_blocks(handle)] == [20, 18, 5]
+        assert _outcome(read_csv_columns, path) == f"{path}:9: non-numeric value 'zz'"
+    assert _outcome(csv_reader_oracle.read_csv_columns, path) == (
+        f"{path}:9: non-numeric value 'zz'")
 
 
 def test_a_path_that_cannot_be_opened_is_an_input_error(tmp_path):

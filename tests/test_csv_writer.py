@@ -28,7 +28,7 @@ from riimpute.cli import (
     write_csv_columns,
 )
 
-RECORD = CliRunRecord(command="riimpute impute in.csv", seed=3, version="0", input_digest="none")
+RECORD = CliRunRecord(command="riimpute impute in.csv", seed=3, version="0", input_sha256="none")
 
 
 def reference_write(path, header, columns, record):

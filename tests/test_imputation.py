@@ -1,6 +1,7 @@
 import logging
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -607,6 +608,19 @@ def test_imputers_reject_zero_counts():
         RiConfig(iterations=0)
     with pytest.raises(InvalidParameter, match="m must be >= 1"):
         mar_impute(_mnar_dataset(53, n=60)[0], 0, RngStream(1, 0))
+
+
+@pytest.mark.parametrize("m", [2.5, True, np.float64(2.0), "2"])
+def test_mar_impute_rejects_an_m_that_is_no_integer(m):
+    with pytest.raises(InvalidParameter, match=re.escape(f"m must be an integer, got {m!r}")):
+        mar_impute(_mnar_dataset(53, n=60)[0], m, RngStream(1, 0))
+
+
+def test_mar_impute_accepts_a_numpy_integer_m():
+    data = _mnar_dataset(53, n=60)[0]
+    expected = mar_impute(data, 2, RngStream(1, 0))
+    assert ([c.tobytes() for c in mar_impute(data, np.int64(2), RngStream(1, 0))]
+            == [c.tobytes() for c in expected])
 
 
 @pytest.mark.parametrize("counts", [

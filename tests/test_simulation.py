@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -180,8 +181,8 @@ def test_run_scenario_worker_propagates_non_library_error(monkeypatch):
 
 def test_run_scenario_rejects_n_jobs_below_one():
     config = builtin_scenario("mcar", "strong", n=200, replications=1, master_seed=23)
-    for n_jobs in (0, -3):
-        with pytest.raises(InvalidParameter):
+    for n_jobs in (0, -3, 1.5, True):
+        with pytest.raises(InvalidParameter, match="^n_jobs must be"):
             run_scenario(config, n_jobs=n_jobs)
 
 
@@ -203,7 +204,26 @@ def test_scenario_validation():
         generate_complete_data((1.0, 0.5, 1.0), 0, RngStream(81, 0))
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("field, value", [
+    ("n", 100.5), ("replications", 2.5), ("m", 2.5), ("m", True), ("iterations", 1.5),
+    ("iterations", "3"),
+])
+def test_scenario_counts_that_are_no_integers_are_rejected_up_front(field, value):
+    config = builtin_scenario("mcar", "strong", n=50, replications=3, master_seed=1)
+    with pytest.raises(InvalidParameter, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        replace(config, **{field: value})
+
+
+def test_scenario_counts_may_be_numpy_integers():
+    config = builtin_scenario("mcar", "strong", n=50, replications=2, master_seed=3, m=2,
+                              iterations=2)
+    numpy_config = replace(config, n=np.int64(50), replications=np.int32(2), m=np.int64(2),
+                           iterations=np.int16(2), master_seed=np.uint64(3))
+    assert (format_result_table([run_scenario(numpy_config, n_jobs=np.int64(1))])
+            == format_result_table([run_scenario(config)]))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
 def test_out_of_range_master_seed_is_rejected_up_front(seed):
     # not counted as failed replications one by one
     with pytest.raises(InvalidParameter, match="master_seed"):
