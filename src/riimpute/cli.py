@@ -41,7 +41,7 @@ from .errors import (
 )
 from .imputation import IncompleteDataset, RiConfig, complete_case, mar_impute, ri_impute
 from .pooling import fit_analysis, rubin_pool, single_fit_estimate
-from .rng import RngStream, mix_stream_id
+from .rng import RngStream, _is_seed, mix_stream_id
 from .simulation import (
     BETA_SETTINGS,
     NONRESPONSE_SETTINGS,
@@ -114,7 +114,7 @@ def _resolve_seed(value: int | None) -> int:
             value = int(env)
         except ValueError as exc:
             raise CliInputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    if not 0 <= value < 2**64:
+    if not _is_seed(value):
         raise CliInputError(f"{source} must be an integer in [0, 2**64), got {value}")
     return value
 

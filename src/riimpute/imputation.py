@@ -26,7 +26,8 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParameter, NonConvergence, Separation, TooFewRows
 from .fitters import (_EINSUM_ROWS, LinearFit, _Columns, _irls_work, _logistic, _matvec, _ols,
                       _with_intercept)
-from .rng import RngStream, _bernoulli, _mvnormal, mix_stream_id, sample_scaled_inv_chi2
+from .rng import (RngStream, _bernoulli, _is_integer, _is_seed, _mvnormal, mix_stream_id,
+                  sample_scaled_inv_chi2)
 
 logger = logging.getLogger(__name__)
 
@@ -135,11 +136,6 @@ class IncompleteDataset:
             )
 
 
-def _is_integer(value) -> bool:
-    """Whether a count or index is an integer: a Python or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class RiConfig:
     """Settings for the random-indicator imputer."""
@@ -153,6 +149,8 @@ class RiConfig:
         if not all(_is_integer(c) and c >= 1 for c in counts):
             raise InvalidParameter("iterations and num_imputations must be >= 1 and integers, "
                                    f"got {counts[0]!r} and {counts[1]!r}")
+        if not _is_seed(self.seed):
+            raise InvalidParameter(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 def _adjustment_fit(data: IncompleteDataset, rdot: np.ndarray,

@@ -27,47 +27,54 @@ def _splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
+def _is_integer(value) -> bool:
+    """Whether a count or index is an integer: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_seed(value) -> bool:
+    """Whether a seed or stream id is valid: an integer in [0, 2**64)."""
+    return _is_integer(value) and 0 <= value < _U64
+
+
 def mix_stream_id(*parts: int | str) -> int:
     """Fold integers and strings into one 64-bit stream id.
 
-    Platform independent (does not use python's salted ``hash``), so derived
-    stream ids are stable across runs and machines.
+    Integers (Python or numpy, not bools) fold modulo 2**64; any other part
+    raises InvalidParameter. Platform independent (does not use python's
+    salted ``hash``), so derived stream ids are stable across runs and machines.
     """
     acc = 0
     for part in parts:
         if isinstance(part, str):
             for byte in part.encode("utf-8"):
                 acc = _splitmix64(acc ^ byte)
-        else:
+        elif _is_integer(part):
             acc = _splitmix64(acc ^ (int(part) % _U64))
+        else:
+            raise InvalidParameter(f"stream id parts must be strings or integers, got {part!r}")
     return acc
 
 
-@dataclass
+@dataclass(frozen=True)
 class RngStream:
     """A named random stream: ``(seed, stream_id)`` keys a Philox generator.
 
-    The identity fields never change; the wrapped generator advances as draws
-    are consumed. Two freshly built streams with equal keys yield identical
-    sequences.
+    The frozen key is two integers in [0, 2**64) (else InvalidParameter). The
+    generator is built from it at construction and advances as draws are consumed,
+    so streams built with equal keys, by ``dataclasses.replace`` too, draw alike.
     """
 
     seed: int
     stream_id: int = 0
-    _generator: np.random.Generator | None = field(default=None, repr=False, compare=False)
+    generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if not 0 <= int(value) < _U64:
-                raise InvalidParameter(f"{name} must be an unsigned 64-bit integer, got {value}")
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._generator is None:
-            key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-            self._generator = np.random.Generator(np.random.Philox(key=key))
-        return self._generator
+        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if not _is_seed(value):
+                raise InvalidParameter(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        object.__setattr__(self, "generator", np.random.Generator(np.random.Philox(key=key)))
 
 
 def sample_mvnormal(mean, covariance, rng: RngStream) -> np.ndarray:

@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateSample, InvalidParameter, RiImputeError
-from .imputation import (IncompleteDataset, RiConfig, _available_cpus, _is_integer, complete_case,
-                         mar_impute, ri_impute)
+from .imputation import (IncompleteDataset, RiConfig, _available_cpus, complete_case, mar_impute,
+                         ri_impute)
 from .mechanism import NonresponseParams, generate_missingness
 from .pooling import PooledEstimate, coverage, fit_analysis, rubin_pool, single_fit_estimate
-from .rng import RngStream, mix_stream_id
+from .rng import RngStream, _is_integer, _is_seed, mix_stream_id
 
 BETA_SETTINGS: dict[str, tuple[float, float, float]] = {
     "strong": (1.0, 0.5, 1.0),
@@ -77,10 +77,9 @@ class ScenarioConfig:
             raise InvalidParameter(f"m must be >= 2 to pool the imputations, got {self.m}")
         if self.iterations < 1:
             raise InvalidParameter(f"iterations must be >= 1, got {self.iterations}")
-        if not (_is_integer(self.master_seed) and 0 <= self.master_seed < 2**64):
-            raise InvalidParameter(
-                f"master_seed must be an integer in [0, 2**64), got {self.master_seed}"
-            )
+        if not _is_seed(self.master_seed):
+            raise InvalidParameter("master_seed must be an integer in [0, 2**64), "
+                                   f"got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -177,8 +176,12 @@ def _scenario_key(config: ScenarioConfig) -> int:
 def run_replication(config: ScenarioConfig, replication_index: int) -> ReplicationResult:
     """One complete-data draw, one missingness draw, all three analyses.
 
-    Deterministic given (master_seed, scenario, replication_index).
+    Deterministic given (master_seed, scenario, replication_index); the index
+    must be a non-negative integer.
     """
+    if not (_is_integer(replication_index) and replication_index >= 0):
+        raise InvalidParameter(
+            f"replication_index must be a non-negative integer, got {replication_index!r}")
     key = _scenario_key(config)
     data_rng = RngStream(config.master_seed, mix_stream_id("data", key, replication_index))
     x1, covariates = generate_complete_data(config.beta, config.n, data_rng)

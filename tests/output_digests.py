@@ -6,6 +6,10 @@ the draws and the output files bit for bit as they were:
 
     PYTHONPATH=src python tests/output_digests.py
 
+The lines of the current tree are recorded in ``output_digests.txt``, which
+``test_output_digests.py`` (marked ``slow``) compares with this script's
+output byte for byte; a change that moves a line updates that file.
+
 It covers ``ri_impute`` (n = 9 to 20 000, printing how many sweeps took the
 zero-shift fallback because the pseudo indicator was degenerate or the
 selection-model fit separated; the n = 20 near-separated dataset takes it

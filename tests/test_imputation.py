@@ -633,10 +633,18 @@ def test_ri_config_rejects_counts_that_are_no_integers(counts):
 
 
 def test_ri_config_accepts_numpy_integer_counts():
-    config = RiConfig(iterations=np.int64(2), num_imputations=np.int32(2), seed=3)
+    config = RiConfig(iterations=np.int64(2), num_imputations=np.int32(2), seed=np.uint64(3))
     data = _mnar_dataset(53, n=60)[0]
     expected = ri_impute(data, RiConfig(iterations=2, num_imputations=2, seed=3))
     assert [c.tobytes() for c in ri_impute(data, config)] == [c.tobytes() for c in expected]
+    assert RiConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", ["3", 1.5, True, np.float64(2.0), -1, 2**64])
+def test_ri_config_rejects_seeds_outside_64_unsigned_bits(seed):
+    # refused at construction, not folded by int() into another seed or raised from a chain
+    with pytest.raises(InvalidParameter, match=re.escape("seed must be an integer in [0, 2**64)")):
+        RiConfig(iterations=2, num_imputations=2, seed=seed)
 
 
 def test_ri_non_finite_selection_draw_raises(monkeypatch):

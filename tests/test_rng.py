@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ def test_same_key_reproduces_byte_identical_sequences():
     a = RngStream(123, 45).generator.standard_normal(1000)
     b = RngStream(123, 45).generator.standard_normal(1000)
     assert a.tobytes() == b.tobytes()
+    # the first draws of a key, pinned to the bytes the package has always drawn
+    assert RngStream(1, 2).generator.integers(2**63, size=3).tolist() == [
+        2852926502413645188, 3292340172822149525, 340384214355098341]
 
 
 def test_mixed_draw_types_reproduce_exactly():
@@ -40,10 +44,34 @@ def test_distinct_stream_ids_are_uncorrelated():
 
 
 def test_stream_id_validation():
-    with pytest.raises(InvalidParameter):
-        RngStream(-1, 0)
-    with pytest.raises(InvalidParameter):
-        RngStream(0, 2**64)
+    # a float, bool or string is refused, not folded by int() into another key
+    for value in (-1, 2**64, 1.5, True, "3", np.float64(2.0), np.int64(-1)):
+        for field in ("seed", "stream_id"):
+            with pytest.raises(InvalidParameter, match=f"{field} must be an unsigned 64-bit integer"):
+                RngStream(**{"seed": 0, "stream_id": 0, field: value})
+    top = RngStream(np.uint64(2**64 - 1), np.uint64(2**64 - 1)).generator.random(2)
+    assert top.tolist() == [0.4268615279451663, 0.5715123063997486]
+    assert top.tobytes() == RngStream(2**64 - 1, 2**64 - 1).generator.random(2).tobytes()
+
+
+def test_stream_key_is_frozen_and_has_no_generator_option():
+    stream = RngStream(1, 0)
+    with pytest.raises(FrozenInstanceError):
+        stream.seed = 2
+    with pytest.raises(TypeError):
+        RngStream(1, 0, _generator=np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        RngStream(1, 0, generator=np.random.default_rng(0))
+
+
+def test_replaced_stream_draws_as_a_fresh_one():
+    used = RngStream(1, 0)
+    used.generator.random(5)
+    replaced = replace(used, stream_id=2)
+    assert replaced.generator is not used.generator
+    expected = RngStream(1, 2).generator.random(4)
+    assert replaced.generator.random(4).tobytes() == expected.tobytes()
+    assert replaced == RngStream(1, 2)
 
 
 def test_mix_stream_id_is_stable_and_sensitive():
@@ -51,6 +79,16 @@ def test_mix_stream_id_is_stable_and_sensitive():
     assert mix_stream_id("ri", 3, 4) != mix_stream_id("ri", 4, 3)
     assert mix_stream_id("a") != mix_stream_id("b")
     assert 0 <= mix_stream_id("anything", 10**12) < 2**64
+    assert mix_stream_id("ri-chain", 0) == 1839546504585494042
+    # integers fold modulo 2**64, numpy integers as their Python values
+    assert mix_stream_id(-1) == mix_stream_id(2**64 - 1) == mix_stream_id(np.uint64(2**64 - 1))
+    assert mix_stream_id(np.int64(7), "x") == mix_stream_id(7, "x")
+
+
+@pytest.mark.parametrize("part", [1.5, True, np.float64(1.0), None, b"x"])
+def test_mix_stream_id_refuses_parts_that_are_no_integers_or_strings(part):
+    with pytest.raises(InvalidParameter, match="must be strings or integers"):
+        mix_stream_id("ri", part)
 
 
 def test_sample_bernoulli_degenerate_probabilities(rng):

@@ -71,11 +71,19 @@ def test_generate_complete_data_explained_variance():
 def test_run_replication_is_deterministic():
     config = builtin_scenario("mnar1", "strong", n=300, replications=5, master_seed=11)
     a = run_replication(config, 2)
-    b = run_replication(config, 2)
+    b = run_replication(config, np.int64(2))  # a numpy index keys the same streams
     for method in ("cc", "mi", "ri"):
         assert np.array_equal(a.estimates[method].q_bar, b.estimates[method].q_bar)
     c = run_replication(config, 3)
     assert not np.array_equal(a.estimates["cc"].q_bar, c.estimates["cc"].q_bar)
+
+
+@pytest.mark.parametrize("index", [1.5, np.float64(1.0), True, "x", -1])
+def test_run_replication_refuses_an_index_that_is_no_non_negative_integer(index):
+    # 1.5 and True would otherwise rerun replication 1, and "x" key a stream by the string
+    config = builtin_scenario("mnar1", "strong", n=300, replications=5, master_seed=11)
+    with pytest.raises(InvalidParameter, match="replication_index must be a non-negative integer"):
+        run_replication(config, index)
 
 
 def test_methods_agree_under_constant_response_probability():
