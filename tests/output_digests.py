@@ -49,9 +49,10 @@ separated 60-row data (drawn from ``RngStream(8, 0)``), where no selection fit
 converges and every sweep takes the zero-shift fallback, and the exit code and
 stderr of ``impute`` (ri, mar and cc) and ``density`` (as input and as
 ``--only-missing-from``) on a file with a header and no data rows. Last, after
-the ``density_summary`` lines, comes the digest of the columns
-``read_csv_columns`` returns for a 24 000-row file that spans several of its
-read blocks. The very last line pins the analysis fits on their own:
+the ``density_summary`` lines (normal samples of ``DENSITY_SIZES``, then the
+``gapped_sample``, whose kernel sums reach the subnormal range and 0), comes
+the digest of the columns ``read_csv_columns`` returns for a 24 000-row file
+that spans several of its read blocks. The very last line pins the analysis fits on their own:
 ``fit_analysis`` on each of the 100 000-row ``mar_impute`` completions of
 the large-n line, then ``rubin_pool`` (its ``beta_hat`` and ``variances``,
 and the pooled ``q_bar``, ``t`` and ``df``).
@@ -92,6 +93,7 @@ RI_SIZES = (9, 12, 15, 30, 100, 1000, 20_000)
 # pool and sums its n-long products with einsum
 POOL_SIZES = (9_999, 10_000)
 DENSITY_SIZES = (2, 3, 8191, 8192, 8193, 56_000)
+GAPPED_N = 56_000
 LARGE_N = 100_000
 SCENARIO_N = 1000
 SCENARIO_REPLICATIONS = 10
@@ -455,11 +457,25 @@ def large_analysis_line() -> str:
     return f"fit_analysis+rubin_pool n={LARGE_N} mar_impute {digest}"
 
 
+def gapped_sample(n: int) -> np.ndarray:
+    """Nine tenths of ``n`` values around 0 and a tenth around 25, shuffled: a
+    gap of about 100 bandwidths, so the grid points in its middle are more
+    than 38 bandwidths from every value and their kernel sums are 0."""
+    gen = np.random.default_rng([15, n, 1])
+    bulk = n - n // 10
+    values = np.concatenate([gen.normal(0.0, 1.0, bulk), gen.normal(25.0, 1.0, n - bulk)])
+    gen.shuffle(values)
+    return values
+
+
 def density_lines() -> list[str]:
     lines = []
     for n in DENSITY_SIZES:
         summary = density_summary(np.random.default_rng([15, n]).normal(1.0, 3.0, n))
         lines.append(f"density_summary n={n} {_sha(summary.grid, summary.observed_density)}")
+    summary = density_summary(gapped_sample(GAPPED_N))
+    lines.append(f"density_summary gapped n={GAPPED_N} "
+                 f"{_sha(summary.grid, summary.observed_density)}")
     return lines
 
 

@@ -319,11 +319,10 @@ def _kde_untiled(values, grid, bandwidth):
     return density * norm_const
 
 
-@pytest.mark.parametrize("cpus", [1, 4])
-@pytest.mark.parametrize("n", [2, 3, 8191, 8192, 8193, 56_000])
-def test_tiled_kde_matches_untiled_bytes_for_any_cpu_count(monkeypatch, n, cpus):
+def _check_tiled_kde(monkeypatch, values, cpus):
+    """The tiled curve of ``values`` on ``cpus`` threads, checked against the
+    untiled bytes and the memory bound; returns it."""
     monkeypatch.setattr(simulation, "_available_cpus", lambda: cpus)
-    values = RngStream(88, n).generator.normal(1.0, 3.0, n)
     h = silverman_bandwidth(values)
     grid = np.linspace(values.min() - 4.0 * h, values.max() + 4.0 * h, 512)
     tracemalloc.start()
@@ -333,8 +332,66 @@ def test_tiled_kde_matches_untiled_bytes_for_any_cpu_count(monkeypatch, n, cpus)
     finally:
         tracemalloc.stop()
     assert density.tobytes() == _kde_untiled(values, grid, h).tobytes()
-    # one 8 x 8192 float64 buffer (0.5 MB) per thread
+    # per thread a 6 x 8192 float64 buffer and its mask (0.45 MB), and the
+    # kernel exp's scratch
     assert peak < cpus * 0.6e6 + 0.2e6
+    return density
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("n", [2, 3, 8191, 8192, 8193, 56_000])
+def test_tiled_kde_matches_untiled_bytes_for_any_cpu_count(monkeypatch, n, cpus):
+    _check_tiled_kde(monkeypatch, RngStream(88, n).generator.normal(1.0, 3.0, n), cpus)
+
+
+def _gapped(n):
+    """Nine tenths of the values around 0, a tenth around 25, the last one among
+    them: a gap of about 100 bandwidths."""
+    gen = RngStream(89, n).generator
+    values = np.r_[gen.normal(0.0, 1.0, n - n // 10), gen.normal(25.0, 1.0, n // 10)]
+    gen.shuffle(values)
+    values[-1] = 25.0
+    return values
+
+
+def _outliers(n):
+    """A normal bulk with three far outliers, two of them in the last block."""
+    values = RngStream(90, n).generator.normal(0.0, 1.0, n)
+    values[[0, -2, -1]] = [-18.0, 12.0, 20.0]
+    return values
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("n", [8193, 56_000])
+@pytest.mark.parametrize("sample", [_gapped, _outliers])
+def test_tiled_kde_matches_untiled_bytes_past_the_fast_bound(monkeypatch, sample, n, cpus):
+    # lanes whose exp is subnormal or 0, also in the short last block
+    density = _check_tiled_kde(monkeypatch, sample(n), cpus)
+    if sample is _gapped:  # grid points in the gap sum to 0 or to a subnormal
+        assert (density == 0.0).any() and ((0.0 < density) & (density < 2.0**-1022)).any()
+
+
+@pytest.mark.parametrize("apart", [0, 10**6])
+def test_kernel_exp_writes_the_bits_of_a_plain_exp(monkeypatch, apart):
+    # apart = 0 sends only the band to the packed exp and zeroes the lanes past
+    # it; 10**6 sends every lane past the fast bound
+    monkeypatch.setattr(simulation, "_APART_LANES", apart)
+    gen = np.random.default_rng(91)
+    bounds = [simulation._FAST_Z2, simulation._ZERO_Z2]
+    z2 = np.r_[gen.uniform(0.0, 1400.0, 3000), gen.uniform(1400.0, 1492.0, 3000),
+               gen.uniform(1492.0, 4000.0, 3000), 0.0, 1e300, bounds, np.nextafter(bounds, 2000.0)]
+    gen.shuffle(z2)
+    expected = np.exp(-0.5 * z2)
+    simulation._kernel_exp(z2, np.empty(len(z2), dtype=bool))
+    assert z2.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("values", [[np.nan, np.nan, np.nan], [np.inf, np.inf], [-np.inf, -np.inf],
+                                    [np.nan], [1.0, np.nan], [np.nan, 1.0]])
+def test_density_checks_finiteness_before_the_distinct_values(values):
+    # a sample that is both non-finite and degenerate is refused as non-finite
+    with pytest.raises(InvalidParameter, match="^bandwidth needs finite values$"):
+        density_summary(values)
 
 
 def test_density_degenerate_sample():
