@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -332,7 +333,7 @@ _ZERO_Z2 = 1492.0
 # up to this many lanes past _FAST_Z2 (64 KB of values and indices) are all
 # exponentiated apart; more, and only those up to _ZERO_Z2 are
 _APART_LANES = 4096
-# a tile's float64 buffer and its one-byte mask, about 0.45 MB
+# lanes of a tile: each thread's float64 buffer and one-byte mask, about 0.45 MB
 _TILE_LANES = 6 * 8192
 
 
@@ -368,38 +369,46 @@ def _kernel_exp(z2: np.ndarray, far: np.ndarray) -> None:
 def _kde_on_grid(values: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
     """Kernel sums over tiles of grid points, shared out to one thread per CPU.
 
-    A tile's buffer (tile points x 8192 values at most, with its mask about
-    0.45 MB) stays in cache through the passes over a block, and numpy
-    releases the GIL in each. Every grid point's sum adds the same 8192-value
-    block sums in the same order as an untiled loop, and ``_kernel_exp``
-    writes the bits of a plain ``exp``, so the curve is the same bytes for
-    any tiling and any thread count.
+    Each thread takes the next tile while any is left, into one buffer (tile
+    points x 8192 values at most, with its mask about 0.45 MB) that stays in
+    cache through the passes over a block; numpy releases the GIL in each.
+    Every grid point's sum adds the same 8192-value block sums in the same
+    order as an untiled loop, and ``_kernel_exp`` writes the bits of a plain
+    ``exp``, so the curve is the same bytes for any tiling and any thread
+    count.
     """
     density = np.zeros_like(grid)
     norm_const = 1.0 / (len(values) * bandwidth * np.sqrt(2.0 * np.pi))
     width = min(len(values), 8192)
-    tile_points = max(1, _TILE_LANES // width)
+    tile_points = min(len(grid), max(1, _TILE_LANES // width))
+    starts = iter(range(0, len(grid), tile_points))
+    lock = threading.Lock()
 
-    def tile(rows: slice) -> None:
-        points = grid[rows, None]
-        buffer = np.empty(len(points) * width)
+    def run(_: int) -> None:
+        buffer = np.empty(tile_points * width)
         far = np.empty(len(buffer), dtype=bool)
-        sums = density[rows]
-        for start in range(0, len(values), 8192):
-            block = values[start : start + 8192]
-            size = len(points) * len(block)
-            # a contiguous prefix, not a strided view, so that _kernel_exp's
-            # index assignments write into the buffer rather than to a copy
-            kernel = buffer[:size].reshape(len(points), len(block))
-            np.subtract(points, block[None, :], out=kernel)
-            kernel /= bandwidth
-            kernel *= kernel
-            _kernel_exp(buffer[:size], far[:size])
-            sums += kernel.sum(axis=1)
+        while True:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            points = grid[start : start + tile_points, None]
+            sums = density[start : start + tile_points]
+            for first in range(0, len(values), 8192):
+                block = values[first : first + 8192]
+                size = len(points) * len(block)
+                # a contiguous prefix, not a strided view, so that _kernel_exp's
+                # index assignments write into the buffer rather than to a copy
+                kernel = buffer[:size].reshape(len(points), len(block))
+                np.subtract(points, block[None, :], out=kernel)
+                kernel /= bandwidth
+                kernel *= kernel
+                _kernel_exp(buffer[:size], far[:size])
+                sums += kernel.sum(axis=1)
 
-    tiles = [slice(start, start + tile_points) for start in range(0, len(grid), tile_points)]
-    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(tiles))) as pool:
-        list(pool.map(tile, tiles))
+    threads = min(_available_cpus(), -(-len(grid) // tile_points))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run, range(threads)))
     return density * norm_const
 
 

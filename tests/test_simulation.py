@@ -1,4 +1,5 @@
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -342,6 +343,22 @@ def _check_tiled_kde(monkeypatch, values, cpus):
 @pytest.mark.parametrize("n", [2, 3, 8191, 8192, 8193, 56_000])
 def test_tiled_kde_matches_untiled_bytes_for_any_cpu_count(monkeypatch, n, cpus):
     _check_tiled_kde(monkeypatch, RngStream(88, n).generator.normal(1.0, 3.0, n), cpus)
+
+
+def test_tiled_kde_threads_take_each_tile_once_under_frequent_switches(monkeypatch):
+    # 8 threads on fewer CPUs, switching every microsecond: a tile taken twice
+    # or never would move the bytes
+    monkeypatch.setattr(simulation, "_available_cpus", lambda: 8)
+    values = RngStream(88, 8193).generator.normal(1.0, 3.0, 8193)
+    h = silverman_bandwidth(values)
+    grid = np.linspace(values.min() - 4.0 * h, values.max() + 4.0 * h, 512)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        density = _kde_on_grid(values, grid, h)
+    finally:
+        sys.setswitchinterval(interval)
+    assert density.tobytes() == _kde_untiled(values, grid, h).tobytes()
 
 
 def _gapped(n):
