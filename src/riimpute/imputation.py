@@ -124,10 +124,6 @@ class IncompleteDataset:
     def n_missing(self) -> int:
         return self.n - self.n_observed
 
-    def require_imputable(self) -> None:
-        if self.n_observed < 2:
-            raise TooFewRows("imputation needs at least 2 observed target values")
-
     def require_fittable(self, n_params: int) -> None:
         if self.n_observed < n_params + 2:
             raise TooFewRows(
@@ -163,9 +159,8 @@ def _adjustment_fit(data: IncompleteDataset, rdot: np.ndarray,
     estimated shift ``delta_adj``.
     """
     rdot_obs = rdot[data._observed_rows]
-    if rdot_obs.size == 0 or np.minimum.reduce(rdot_obs) == np.maximum.reduce(rdot_obs):
+    if np.minimum.reduce(rdot_obs) == np.maximum.reduce(rdot_obs):
         return None
-    data.require_fittable(data.n_covariates + 2)
     design[:, -1] = rdot_obs - 1.0
     return _ols(design, data._observed_target)
 
@@ -205,17 +200,13 @@ def _impute_draw(data: IncompleteDataset, fit: LinearFit, rng: RngStream, rdot=N
     return completed
 
 
-def _mar_fit(data: IncompleteDataset) -> LinearFit:
-    data.require_fittable(data.n_covariates + 1)
-    return _ols(data._observed_design, data._observed_target)
-
-
 def mar_impute(data: IncompleteDataset, m: int, rng: RngStream) -> list[np.ndarray]:
     """Multiple imputation under an ignorable mechanism.
 
     Per imputation: draw residual variance and coefficients from the
     noninformative posterior of the observed-rows regression, then predict
-    missing rows and add noise.
+    missing rows and add noise. With k covariates the regression needs k + 3
+    observed rows; fewer raise TooFewRows before anything is drawn.
     """
     if not _is_integer(m):
         raise InvalidParameter(f"m must be an integer, got {m!r}")
@@ -224,8 +215,8 @@ def mar_impute(data: IncompleteDataset, m: int, rng: RngStream) -> list[np.ndarr
     if data.n_missing == 0:
         logger.warning("target has no missing values; returning %d identical copies", m)
         return [data.target.copy() for _ in range(m)]
-    data.require_imputable()
-    fit = _mar_fit(data)
+    data.require_fittable(data.n_covariates + 1)
+    fit = _ols(data._observed_design, data._observed_target)
     return [_impute_draw(data, fit, rng) for _ in range(m)]
 
 
@@ -247,7 +238,9 @@ def ri_impute(
     missing values resampled out of the observed ones, then repeats for
     ``config.iterations`` sweeps: draw selection coefficients from their
     posterior given the completed target, draw a pseudo response indicator,
-    and reimpute the missing rows with the estimated shift.
+    and reimpute the missing rows with the estimated shift. With k covariates
+    the shift's regression has k + 2 coefficients and needs k + 4 observed
+    rows; fewer raise TooFewRows before anything is drawn.
 
     ``nonresponse_columns`` chooses which covariate columns enter the
     selection model (default: all of them); a non-integer, out-of-range or
@@ -289,9 +282,10 @@ def ri_impute(
         logger.warning("target has no missing values; returning %d identical copies",
                        config.num_imputations)
         return [data.target.copy() for _ in range(config.num_imputations)]
-    data.require_imputable()
+    # the adjustment fit's rows; they cover the fallback's MAR fit and the starting resample
+    data.require_fittable(k + 2)
     z_nr = data.covariates[:, cols]
-    # 0s and 1s both occur (the return above, require_imputable); floats: no cast per IRLS product
+    # 0s and 1s both occur (the return and the check above); floats: no cast per IRLS product
     response = data.observed_mask.astype(float)
     if data.n < _EINSUM_ROWS:
         def workspace() -> tuple:
@@ -406,7 +400,8 @@ def _chain(data: IncompleteDataset, seed: int, response: np.ndarray, completed: 
                             MAX_RDOT_REDRAWS)
         if fallback is not None:
             warnings.append(fallback)
-            _impute_draw(data, _mar_fit(data), rng, out=completed)
+            _impute_draw(data, _ols(data._observed_design, data._observed_target), rng,
+                         out=completed)
         rdot = None  # an n-long array; not kept while the chain waits for its next sweep
         selection_design, adjustment_design, work = yield
 

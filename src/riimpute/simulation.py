@@ -50,7 +50,8 @@ class ScenarioConfig:
 
     ``psi.psi_z`` holds coefficients for the leading covariate columns; with
     the builtin settings that is the single coefficient on the first
-    covariate.
+    covariate. ``generate_complete_data`` draws two covariates, so more than
+    two coefficients raise InvalidParameter.
     """
 
     beta: tuple[float, float, float]
@@ -66,6 +67,9 @@ class ScenarioConfig:
         if len(self.beta) != 3:
             raise InvalidParameter("beta must have three entries")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
+        if len(self.psi.psi_z) > 2:
+            raise InvalidParameter(f"psi has {len(self.psi.psi_z)} covariate coefficients; "
+                                   "the scenario data have 2 covariates")
         for name in ("n", "replications", "m", "iterations"):
             if not _is_integer(getattr(self, name)):
                 raise InvalidParameter(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -298,20 +302,25 @@ def format_result_table(results: list[ScenarioResult], header_lines: tuple[str, 
     return "\n".join(lines) + "\n"
 
 
-def _finite(values) -> np.ndarray:
-    """``values`` as a float array; a NaN or an infinity raises InvalidParameter."""
+def _sample(values) -> np.ndarray:
+    """``values`` as a float array; a NaN or an infinity raises InvalidParameter,
+    then anything but a 1-d sample of at least two values DegenerateSample."""
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise InvalidParameter("bandwidth needs finite values")
+    if values.ndim != 1 or values.size < 2:
+        raise DegenerateSample("bandwidth needs a 1-d sample of at least two values, "
+                               f"got shape {values.shape}")
     return values
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
     """0.9 * min(sd, IQR / 1.34) * n^(-1/5), guarding the degenerate pieces.
 
-    A NaN or an infinity raises InvalidParameter.
+    A NaN or an infinity raises InvalidParameter; a sample that is not 1-d or
+    has fewer than two values raises DegenerateSample.
     """
-    values = _finite(values)
+    values = _sample(values)
     sd = float(values.std(ddof=1))
     q75, q25 = np.percentile(values, [75, 25])
     iqr = float(q75 - q25)
@@ -438,12 +447,13 @@ def density_summary(values, group_label: str = "") -> DensitySummary:
     the trapezoid integral of the curve is 1 to within a tenth of a percent.
     That needs a grid step no wider than h: a sample whose range is more than
     about 500 bandwidths (a few far outliers around a tight bulk) raises
-    DegenerateSample instead. A NaN or an infinity raises InvalidParameter
+    DegenerateSample instead, as does a sample that is not 1-d or has fewer
+    than two distinct values. A NaN or an infinity raises InvalidParameter
     before any other check. The kernel sum is split over the available CPUs,
     and the curve is the same bytes for any CPU count.
     """
-    values = _finite(values)
-    if values.ndim != 1 or values.size < 2 or not values.min() < values.max():
+    values = _sample(values)
+    if not values.min() < values.max():
         raise DegenerateSample("density needs at least two distinct values")
     h = silverman_bandwidth(values)
     grid = np.linspace(values.min() - 4.0 * h, values.max() + 4.0 * h, 512)
@@ -459,7 +469,8 @@ def density_summary(values, group_label: str = "") -> DensitySummary:
 
 
 def _scenario_keys(path) -> dict[str, str]:
-    """The ``key = value`` pairs of a scenario file, keys lower-cased; unknown keys raise."""
+    """The ``key = value`` pairs of a scenario file, keys lower-cased; unknown or
+    repeated keys raise."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -474,7 +485,10 @@ def _scenario_keys(path) -> dict[str, str]:
         if "=" not in stripped:
             raise InvalidParameter(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
-        raw[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in raw:
+            raise InvalidParameter(f"{path}:{lineno}: key {key!r} is set twice")
+        raw[key] = value.strip()
 
     known = {"mechanism", "beta", "psi", "n", "replications", "m", "iterations", "seed"}
     unknown = set(raw) - known

@@ -24,22 +24,23 @@ def estimate_adjustment(data: IncompleteDataset, rdot) -> LinearFit:
 
     Regresses the observed target on intercept, covariates, and (rdot - 1);
     the last coefficient, on (rdot - 1), is the estimated shift ``delta_adj``.
-    Raises DegenerateRdot when rdot is constant among the observed rows.
+    Raises DegenerateRdot when rdot is constant among the observed rows, and
+    then TooFewRows when the observed rows are too few for the fit.
     """
     rdot = np.asarray(rdot)
     if rdot.ndim != 1 or not np.all((rdot == 0) | (rdot == 1)):
         raise InvalidParameter("indicator must be a 1-d vector of 0s and 1s")
     if len(rdot) != data.n:
         raise DimensionMismatch(f"indicator has length {len(rdot)}, expected {data.n}")
+    if np.unique(rdot[data.observed_mask]).size < 2:
+        raise DegenerateRdot("pseudo indicator is constant among observed rows")
+    data.require_fittable(data.n_covariates + 2)
     observed = data._observed_design
     if isinstance(observed, _Columns):  # from _EINSUM_ROWS rows on, as in ri_impute
         design = _Columns(observed.shared, np.zeros(data.n_observed), at=observed.shape[1])
     else:
         design = np.column_stack([observed, np.zeros(data.n_observed)])
-    fit = _adjustment_fit(data, rdot, design)
-    if fit is None:
-        raise DegenerateRdot("pseudo indicator is constant among observed rows")
-    return fit
+    return _adjustment_fit(data, rdot, design)
 
 
 def impute_given_rdot(data: IncompleteDataset, rdot, rng: RngStream) -> np.ndarray:

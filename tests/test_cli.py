@@ -236,6 +236,8 @@ def test_reader_exits_2(tmp_path, capsys, content, message):
      "InvalidParameter: scenario file must set 'mechanism'"),
     (None, ["simulate", "--scenario-file", "{no_equals}", "--output", "{out}.csv"],
      "InvalidParameter: {no_equals}:2: expected 'key = value', got 'replications 2'"),
+    (None, ["simulate", "--scenario-file", "{key_twice}", "--output", "{out}.csv"],
+     "InvalidParameter: {key_twice}:3: key 'n' is set twice"),
     # a file with no data rows is refused by the reader, before any warning
     *[(None, ["impute", "{no_rows}", "--target", "y", "--covariates", "z", "--method", method,
               "--output-prefix", "{out}"], "{no_rows}: no data rows") for method in ("ri", "mar")],
@@ -266,7 +268,8 @@ def test_reader_exits_2(tmp_path, capsys, content, message):
                                 ("mar", ["--iterations", "-1"], "-1 and 5"),
                                 ("ri", ["-m", "0"], "10 and 0")]],
 ], ids=["seed-env", "label-count", "only-missing-from-rows", "unknown-target",
-        "covariate-holes", "scenario-mechanism", "scenario-equals", "no-rows-ri", "no-rows-mar",
+        "covariate-holes", "scenario-mechanism", "scenario-equals", "scenario-key-twice",
+        "no-rows-ri", "no-rows-mar",
         "no-rows-density", "no-rows-only-missing-from", "unknown-density-column",
         "no-rows-unknown-density-column", "simulate-m-1", "simulate-m-0",
         "simulate-iterations-0", "scenario-file-m-1", "scenario-file-iterations-0",
@@ -279,6 +282,7 @@ def test_input_exits_2(tmp_path, capsys, caplog, monkeypatch, env, argv, message
         "holes": "y,z\n1,0.5\n,1.5\n3,\n4,3.5\n5,4\n",
         "no_mechanism": "n = 100\n",
         "no_equals": "mechanism = mcar\nreplications 2\n",
+        "key_twice": "mechanism = mcar\nn = 100\nn = 200\n",
         "one_imputation": "mechanism = mcar\nn = 50\nreplications = 3\nm = 1\n",
         "no_sweeps": "mechanism = mcar\nn = 50\nreplications = 3\niterations = 0\n",
     }

@@ -759,6 +759,57 @@ def test_complete_case_too_few_rows():
         complete_case(data)
 
 
+def _few_observed(k, observed):
+    # 30 rows with k covariates, the first ``observed`` of them with a target
+    gen = RngStream(7, 10 * k + observed).generator
+    z = gen.standard_normal((30, k))
+    target = 1.0 + z.sum(axis=1) + gen.standard_normal(30)
+    target[observed:] = np.nan
+    return IncompleteDataset(target, z)
+
+
+def _separated_four_rows():
+    # k = 1: 4 observed rows near z = +4 and 30 missing ones near z = -4, so
+    # every selection fit separates and every sweep would fall back to MAR
+    gen = RngStream(8, 0).generator
+    z = np.r_[gen.normal(4.0, 0.3, 4), gen.normal(-4.0, 0.3, 30)]
+    target = z + gen.standard_normal(34)
+    target[4:] = np.nan
+    return IncompleteDataset(target, z[:, None])
+
+
+@pytest.mark.parametrize("make", [
+    *[pytest.param(lambda k=k, o=o: _few_observed(k, o), id=f"k{k}-observed{o}")
+      for k in range(3) for o in range(k + 4)],
+    pytest.param(_separated_four_rows, id="k1-observed4-separated"),
+])
+def test_ri_impute_refuses_too_few_observed_rows_before_any_sweep(caplog, make):
+    # the adjustment regression has k + 2 coefficients: the message is the same
+    # for every seed, however the sweeps would have drawn
+    data = make()
+    k = data.n_covariates
+    message = (f"^model with {k + 2} parameters needs at least {k + 4} observed rows, "
+               f"got {data.n_observed}$")
+    with caplog.at_level(logging.WARNING, logger="riimpute.imputation"):
+        for seed in range(10):
+            with pytest.raises(TooFewRows, match=message):
+                ri_impute(data, RiConfig(seed=seed))
+    assert caplog.records == []
+
+
+@pytest.mark.parametrize("k, observed", [(k, o) for k in range(3) for o in range(k + 3)])
+def test_mar_impute_and_complete_case_refuse_too_few_observed_rows_before_drawing(k, observed):
+    data = _few_observed(k, observed)
+    message = (f"^model with {k + 1} parameters needs at least {k + 3} observed rows, "
+               f"got {observed}$")
+    rng = RngStream(9, 0)
+    with pytest.raises(TooFewRows, match=message):
+        mar_impute(data, 5, rng)
+    assert rng.generator.random() == RngStream(9, 0).generator.random()
+    with pytest.raises(TooFewRows, match=message):
+        complete_case(data)
+
+
 # ---------------------------------------------------------------------------
 # cell_means, the cross-classification oracle in tests/selection_oracle.py
 

@@ -414,6 +414,15 @@ def test_density_degenerate_sample():
         silverman_bandwidth(np.full(10, 2.5))
 
 
+@pytest.mark.parametrize("values", [[1.0], [], [[1.0, 2.0], [3.0, 4.0]]],
+                         ids=["one-value", "empty", "2-d"])
+def test_bandwidth_refuses_a_sample_that_is_not_1d_with_two_values(values):
+    with pytest.raises(DegenerateSample, match="1-d sample of at least two values"):
+        silverman_bandwidth(values)
+    with pytest.raises(DegenerateSample, match="1-d sample of at least two values"):
+        density_summary(values)
+
+
 def test_density_collapsed_bandwidth_raises_before_the_kernel_sum():
     # the IQR term gives h of about 1e-300 against a range of 1e6
     values = np.array([0.0, 0.0, 0.0, 1e-300, 1e6])
@@ -499,6 +508,25 @@ def test_parse_scenario_file_errors(tmp_path):
     worse.write_text("mechanism = mcar\nbogus = 1\n", encoding="utf-8")
     with pytest.raises(InvalidParameter):
         parse_scenario_file(worse)
+
+
+def test_parse_scenario_file_refuses_a_key_set_twice(tmp_path):
+    # keys compare lower-cased, so "N" repeats "n"
+    path = tmp_path / "twice.txt"
+    path.write_text("mechanism = mcar\nn = 100\nN = 200\n", encoding="utf-8")
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(str(path))}:3: key 'n' is set twice$"):
+        parse_scenario_file(path)
+
+
+def test_scenario_config_refuses_more_selection_coefficients_than_covariates():
+    from riimpute import NonresponseParams
+
+    with pytest.raises(InvalidParameter, match="psi has 3 covariate coefficients"):
+        ScenarioConfig(beta=(1, 0.5, 1), psi=NonresponseParams(0, 0.5, [1, 2, 3]), n=100,
+                       replications=3, mechanism_label="x")
+    config = ScenarioConfig(beta=(1, 0.5, 1), psi=NonresponseParams(0, 0.5, [1, 2]), n=100,
+                            replications=3, mechanism_label="x")
+    assert len(config.psi.psi_z) == 2
 
 
 def test_scenario_config_accepts_plain_construction():
