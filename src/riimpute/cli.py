@@ -45,11 +45,11 @@ from .rng import RngStream, _is_seed, mix_stream_id
 from .simulation import (
     BETA_SETTINGS,
     NONRESPONSE_SETTINGS,
+    _scenario_config,
     _scenario_keys,
     builtin_scenario,
     density_summary,
     format_result_table,
-    parse_scenario_file,
     run_scenario,
 )
 
@@ -677,27 +677,34 @@ def _write_pooled(args: argparse.Namespace, names: list[str], pooled, record: Cl
 # simulate
 
 
+# simulate's scenario options, which a scenario file sets itself: the argparse
+# dest, the builtin_scenario keyword and the flag
+_SCENARIO_OPTIONS = (("beta", "beta_set", "--beta"), ("n", "n", "-n"),
+                     ("replications", "replications", "--replications"), ("m", "m", "-m"),
+                     ("iterations", "iterations", "--iterations"))
+
+
 def _cmd_simulate(args: argparse.Namespace, argv: list[str]) -> int:
     seed = _resolve_seed(args.seed)
+    given = [(keyword, flag, getattr(args, dest)) for dest, keyword, flag in _SCENARIO_OPTIONS
+             if getattr(args, dest) is not None]
     if args.scenario_file:
+        if given:
+            flags = ", ".join(flag for _, flag, _ in given)
+            raise CliInputError(f"{flags} cannot be combined with --scenario-file, "
+                                "which sets the scenario")
         path = Path(args.scenario_file)
         record = _make_record(argv, seed, [path])
-        config = parse_scenario_file(path)
+        raw = _scenario_keys(path)
+        config = _scenario_config(raw, path)
         # seed precedence: --seed, then the file's seed, then RIIMPUTE_SEED or the default
-        if args.seed is not None or "seed" not in _scenario_keys(path):
+        if args.seed is not None or "seed" not in raw:
             config = replace(config, master_seed=seed)
         record = replace(record, seed=config.master_seed)
     else:
         record = _make_record(argv, seed, [])
-        config = builtin_scenario(
-            args.scenario,
-            beta_set=args.beta,
-            n=args.n,
-            replications=args.replications,
-            master_seed=seed,
-            m=args.m,
-            iterations=args.iterations,
-        )
+        options = {keyword: value for keyword, _, value in given}
+        config = builtin_scenario(args.scenario, master_seed=seed, **options)
 
     result = run_scenario(config, n_jobs=args.jobs)
     psi = config.psi
@@ -797,11 +804,12 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_sim.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenario", choices=sorted(NONRESPONSE_SETTINGS))
     group.add_argument("--scenario-file")
-    p_sim.add_argument("--beta", choices=tuple(BETA_SETTINGS), default="strong")
-    p_sim.add_argument("-n", type=int, default=1000)
-    p_sim.add_argument("--replications", type=int, default=200)
-    p_sim.add_argument("-m", type=int, default=5)
-    p_sim.add_argument("--iterations", type=int, default=10)
+    # None when not given: builtin_scenario holds the defaults
+    p_sim.add_argument("--beta", choices=tuple(BETA_SETTINGS))
+    p_sim.add_argument("-n", type=int)
+    p_sim.add_argument("--replications", type=int)
+    p_sim.add_argument("-m", type=int)
+    p_sim.add_argument("--iterations", type=int)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--jobs", type=int, default=1,
                        help="forked worker processes for the replications (>= 1)")

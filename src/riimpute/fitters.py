@@ -104,8 +104,8 @@ def _as_design(design, response, response_name: str):
         if not np.isfinite(values).all():
             raise InvalidParameter(f"{name} must contain only finite values")
     if len(design) >= _EINSUM_ROWS:
-        design = _Columns(np.asfortranarray(design))
-    return design, response
+        return _Columns(np.asfortranarray(design)), response
+    return np.ascontiguousarray(design), response
 
 
 def _checked_inverse(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -181,14 +181,34 @@ class _Columns:
         return full.take(self._gram_order)
 
 
-def _with_intercept(covariates) -> np.ndarray:
-    """``np.column_stack([ones, covariates])`` in F order, for 1-d or 2-d
-    ``covariates``: filled column by column, with no C-order copy to transpose."""
+def _with_intercept(covariates, rows: int | None = None) -> np.ndarray:
+    """``[1, covariates]`` laid out by ``_design``'s rule for a model over ``rows``
+    rows (default: its own); an F-order block is filled column by column."""
+    n = len(covariates)
+    if (n if rows is None else rows) < _EINSUM_ROWS:
+        return np.column_stack([np.ones(n), covariates])
     columns = np.atleast_2d(np.transpose(covariates))
-    design = np.empty((len(columns) + 1, columns.shape[1]))
+    design = np.empty((len(columns) + 1, n))
     design[0] = 1.0
     design[1:] = columns
     return design.T
+
+
+def _design(covariates, rows: int):
+    """``[1, covariates]``, read-only, for a model over ``rows`` rows (the
+    imputers pass the dataset's): a C-order array for BLAS below
+    ``_EINSUM_ROWS`` rows, a ``_Columns`` over an F-order block from there on."""
+    design = _with_intercept(covariates, rows)
+    design.setflags(write=False)
+    return design if rows < _EINSUM_ROWS else _Columns(design)
+
+
+def _with_own(design, at: int):
+    """``_design``'s ``design`` plus a column at ``at`` for its holder to overwrite:
+    a writable C-order copy, or a ``_Columns`` over the same shared block."""
+    if isinstance(design, _Columns):
+        return _Columns(design.shared, np.empty(design.shape[0]), at)
+    return np.insert(design, at, 0.0, axis=1)
 
 
 def _matvec(x, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -213,9 +233,10 @@ def ols_fit(design, response) -> LinearFit:
     singular (see ``_checked_inverse``), and InvalidParameter when the design
     or the response holds a NaN or an infinity.
 
-    From ``_EINSUM_ROWS`` rows on, the products are summed by np.einsum over
-    the design's columns, so the bits do not depend on the BLAS thread count;
-    a design that is not in F (column-major) order is copied into it first.
+    The products are summed by BLAS over a C-order design below
+    ``_EINSUM_ROWS`` rows, and by np.einsum over an F-order one from there on,
+    so the bits do not depend on the BLAS thread count; a design in the other
+    layout is copied first, so they depend only on the values.
     """
     x, y = _as_design(design, response, "response")
     n, p = x.shape

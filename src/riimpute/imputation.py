@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonConvergence, Separation, TooFewRows
-from .fitters import (_EINSUM_ROWS, LinearFit, _Columns, _irls_work, _logistic, _matvec, _ols,
-                      _with_intercept)
+from .fitters import (_EINSUM_ROWS, LinearFit, _design, _irls_work, _logistic, _matvec, _ols,
+                      _with_own)
 from .rng import (RngStream, _bernoulli, _is_integer, _is_seed, _mvnormal, mix_stream_id,
                   sample_scaled_inv_chi2)
 
@@ -43,9 +43,8 @@ class IncompleteDataset:
     values are rejected in both. The dataset keeps read-only copies of its
     inputs, so later writes to the caller's arrays do not reach it, and
     splits the rows once: ``observed_mask`` (read-only), the counts, and the
-    ``[1, z]`` designs of the observed and of the missing rows, which from
-    ``fitters._EINSUM_ROWS`` rows on are ``_Columns`` over read-only F-order
-    blocks, so every fit on them sums by einsum. The sweeps
+    read-only ``[1, z]`` designs of the observed and of the missing rows,
+    laid out by ``fitters._design`` for the dataset's row count. The sweeps
     gather and scatter by the read-only row indices of the observed and of the
     missing rows, and read the observed target values from a read-only copy:
     an index array is about ten times faster than the mask.
@@ -57,8 +56,8 @@ class IncompleteDataset:
     covariate_names: tuple[str, ...] = ()
     observed_mask: np.ndarray = field(init=False, repr=False, compare=False)
     n_observed: int = field(init=False, repr=False, compare=False)
-    _observed_design: np.ndarray | _Columns = field(init=False, repr=False, compare=False)
-    _missing_design: np.ndarray | _Columns = field(init=False, repr=False, compare=False)
+    _observed_design: object = field(init=False, repr=False, compare=False)
+    _missing_design: object = field(init=False, repr=False, compare=False)
     _observed_rows: np.ndarray = field(init=False, repr=False, compare=False)
     _missing_rows: np.ndarray = field(init=False, repr=False, compare=False)
     _observed_target: np.ndarray = field(init=False, repr=False, compare=False)
@@ -89,14 +88,10 @@ class IncompleteDataset:
             raise InvalidParameter("target and covariates must not contain infinite values")
         observed = ~np.isnan(target)
         rows = np.flatnonzero(observed), np.flatnonzero(~observed)
-        large = len(target) >= _EINSUM_ROWS
-        designs = [_with_intercept(covariates[r]) if large
-                   else np.column_stack([np.ones(len(r)), covariates[r]]) for r in rows]
+        designs = [_design(covariates[r], len(target)) for r in rows]
         observed_target = target[rows[0]]
-        for array in (target, covariates, observed, *rows, *designs, observed_target):
+        for array in (target, covariates, observed, *rows, observed_target):
             array.setflags(write=False)
-        if large:
-            designs = [_Columns(design) for design in designs]
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "covariates", covariates)
         object.__setattr__(self, "covariate_names", names)
@@ -221,6 +216,10 @@ def mar_impute(data: IncompleteDataset, m: int, rng: RngStream) -> list[np.ndarr
 
 
 def _available_cpus() -> int:
+    """CPUs for this process's threads: 1 in a worker process, such as
+    ``run_scenario``'s, whose parent already shares the CPUs out."""
+    if multiprocessing.parent_process() is not None:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
@@ -254,16 +253,16 @@ def ri_impute(
 
     From 10 000 rows on (``fitters._EINSUM_ROWS``) the chains run on T
     threads, one per available CPU and at most one per chain, and their
-    designs are column-major with every n-long product summed by einsum, not
+    designs (``fitters._design``) sum every n-long product by einsum, not
     BLAS, so the draws are the same for any number of CPUs or BLAS threads.
     The threads share the chains out one sweep at a time, so that the chains
     finish together: a free thread takes the chain with the most sweeps left
     that no other thread is running (the lowest index on a tie), runs one
     sweep of it with the thread's own workspace, and puts it back. Once a
     chain has failed, no sweep of a later chain starts; the chains before it
-    still finish. Below that row count, in a worker process (such as
-    ``run_scenario``'s, whose parent already shares the CPUs out) or with one
-    CPU, T is 1 and the same rule runs the sweeps on the calling thread. Then
+    still finish. Below that row count, or with one available CPU (as in a
+    worker process, see ``_available_cpus``), T is 1 and the same rule runs
+    the sweeps on the calling thread. Then
     each chain's warnings are logged in chain order, and the first failing
     chain's error is raised after the warnings of its own sweeps and of every
     chain before it, as when the chains run one after another.
@@ -287,19 +286,11 @@ def ri_impute(
     z_nr = data.covariates[:, cols]
     # 0s and 1s both occur (the return and the check above); floats: no cast per IRLS product
     response = data.observed_mask.astype(float)
-    if data.n < _EINSUM_ROWS:
-        def workspace() -> tuple:
-            selection = np.column_stack([np.ones(data.n), data.target, z_nr])
-            adjustment = np.column_stack([data._observed_design, np.zeros(data.n_observed)])
-            return selection, adjustment, _irls_work(selection)
-    else:
-        selection_block = _with_intercept(z_nr)
+    selection_block = _design(z_nr, data.n)
 
-        def workspace() -> tuple:
-            selection = _Columns(selection_block, np.empty(data.n), at=1)
-            adjustment = _Columns(data._observed_design.shared, np.empty(data.n_observed),
-                                  at=k + 1)
-            return selection, adjustment, _irls_work(selection)
+    def workspace() -> tuple:
+        selection = _with_own(selection_block, 1)
+        return selection, _with_own(data._observed_design, k + 1), _irls_work(selection)
 
     # The completions and the workspaces are allocated on this thread: memory a
     # pool thread allocates stays in that thread's malloc arena after it is freed.
@@ -315,8 +306,7 @@ def ri_impute(
     ready = [config.iterations] * m
     stop = m  # no sweep starts for a chain from the first failed one on
     lock = threading.Lock()
-    serial = data.n < _EINSUM_ROWS or multiprocessing.parent_process() is not None
-    threads = 1 if serial else min(_available_cpus(), m)
+    threads = 1 if data.n < _EINSUM_ROWS else min(_available_cpus(), m)
     spaces = [workspace() for _ in range(threads)]
 
     def run(space: tuple) -> None:
@@ -362,8 +352,8 @@ def _chain(data: IncompleteDataset, seed: int, response: np.ndarray, completed: 
     chain's stream, its latest coefficient draw and ``completed`` stay with the
     generator, so successive sweeps can run on different threads.
     ``response`` is shared with the other chains and only read.
-    ``workspace`` holds the selection and adjustment designs
-    (arrays, or ``_Columns`` from ``_EINSUM_ROWS`` rows on) and the scratch
+    ``workspace`` holds the selection and adjustment designs, each with a
+    column of its own (``fitters._with_own``), and the scratch
     rows that the selection fits and the pseudo-indicator draws share; each
     sweep overwrites the designs' target and rdot - 1 columns and the scratch,
     so any thread's workspace gives the same draws.

@@ -381,7 +381,8 @@ def _kernel_exp(z2: np.ndarray, near: np.ndarray) -> None:
 
 
 def _kde_on_grid(values: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Kernel sums over tiles of grid points, shared out to one thread per CPU.
+    """Kernel sums over tiles of grid points, shared out to one thread per
+    available CPU (``_available_cpus``: one in a worker process).
 
     The tile count is rounded up to a multiple of the thread count, and thread
     i (the calling thread for i = 0, pool threads for the rest) takes tiles
@@ -505,7 +506,11 @@ def parse_scenario_file(path) -> ScenarioConfig:
     to the builtin values for the mechanism, an omitted seed to 0. A '#'
     starts a comment anywhere on a line.
     """
-    raw = _scenario_keys(path)
+    return _scenario_config(_scenario_keys(path), path)
+
+
+def _scenario_config(raw: dict[str, str], path) -> ScenarioConfig:
+    """The scenario that the pairs ``raw`` of the file ``path`` describe."""
     if "mechanism" not in raw:
         raise InvalidParameter("scenario file must set 'mechanism'")
     mechanism = raw["mechanism"].lower()

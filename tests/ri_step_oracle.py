@@ -10,7 +10,7 @@ import numpy as np
 
 from riimpute import DimensionMismatch, IncompleteDataset, InvalidParameter, LinearFit
 from riimpute import NonresponseParams, RngStream
-from riimpute.fitters import _Columns, _logistic
+from riimpute.fitters import _logistic, _with_own
 from riimpute.imputation import _adjustment_fit, _impute_draw
 from riimpute.rng import _mvnormal
 
@@ -35,11 +35,7 @@ def estimate_adjustment(data: IncompleteDataset, rdot) -> LinearFit:
     if np.unique(rdot[data.observed_mask]).size < 2:
         raise DegenerateRdot("pseudo indicator is constant among observed rows")
     data.require_fittable(data.n_covariates + 2)
-    observed = data._observed_design
-    if isinstance(observed, _Columns):  # from _EINSUM_ROWS rows on, as in ri_impute
-        design = _Columns(observed.shared, np.zeros(data.n_observed), at=observed.shape[1])
-    else:
-        design = np.column_stack([observed, np.zeros(data.n_observed)])
+    design = _with_own(data._observed_design, data.n_covariates + 1)
     return _adjustment_fit(data, rdot, design)
 
 

@@ -260,6 +260,11 @@ def test_reader_exits_2(tmp_path, capsys, content, message):
        f"InvalidParameter: {message}")
       for name, message in [("one_imputation", "m must be >= 2 to pool the imputations, got 1"),
                             ("no_sweeps", "iterations must be >= 1, got 0")]],
+    # the file sets the scenario, so its options on the command line are refused
+    *[(None, ["simulate", "--scenario-file", "{plain}", *flag, "--output", "{out}.csv"],
+       f"{flag[0]} cannot be combined with --scenario-file, which sets the scenario")
+      for flag in (["-n", "60"], ["--beta", "moderate"], ["--replications", "3"], ["-m", "3"],
+                   ["--iterations", "2"])],
     # impute checks -m and --iterations for every method, before it reads its input
     *[(None, ["impute", "{no_rows}", "--target", "y", "--covariates", "z", "--method", method,
               *flag, "--output-prefix", "{out}"],
@@ -273,6 +278,8 @@ def test_reader_exits_2(tmp_path, capsys, content, message):
         "no-rows-density", "no-rows-only-missing-from", "unknown-density-column",
         "no-rows-unknown-density-column", "simulate-m-1", "simulate-m-0",
         "simulate-iterations-0", "scenario-file-m-1", "scenario-file-iterations-0",
+        "scenario-file-with-n", "scenario-file-with-beta", "scenario-file-with-replications",
+        "scenario-file-with-m", "scenario-file-with-iterations",
         "impute-cc-m-3", "impute-mar-iterations-1", "impute-ri-m-0"])
 def test_input_exits_2(tmp_path, capsys, caplog, monkeypatch, env, argv, message):
     files = {
@@ -285,6 +292,7 @@ def test_input_exits_2(tmp_path, capsys, caplog, monkeypatch, env, argv, message
         "key_twice": "mechanism = mcar\nn = 100\nn = 200\n",
         "one_imputation": "mechanism = mcar\nn = 50\nreplications = 3\nm = 1\n",
         "no_sweeps": "mechanism = mcar\nn = 50\nreplications = 3\niterations = 0\n",
+        "plain": "mechanism = mcar\nn = 50\nreplications = 1\n",
     }
     names = {"out": tmp_path / "out"}
     for name, text in files.items():
@@ -611,7 +619,7 @@ def test_simulate_jobs_below_one_exits_2(tmp_path, jobs):
 def test_simulate_scenario_file(tmp_path, monkeypatch):
     # seed precedence: --seed, then the file's seed (0 included), then
     # RIIMPUTE_SEED, then the default; the header cites the seed the run used,
-    # and the table is the builtin scenario's at that seed
+    # and the table is the builtin scenario's at that seed; --jobs works with a file too
     scenario = tmp_path / "scenario.txt"
     out = tmp_path / "table.csv"
 
@@ -621,7 +629,8 @@ def test_simulate_scenario_file(tmp_path, monkeypatch):
         seeds = [line for line in lines if line.startswith("# seed:")]
         return seeds, [line for line in lines if not line.startswith("#")]
 
-    cases = [(4, [], None, 4), (7, [], None, 7), (0, [], None, 0), (7, ["--seed", "3"], None, 3),
+    cases = [(4, [], None, 4), (7, [], None, 7), (0, [], None, 0),
+             (7, ["--seed", "3", "--jobs", "2"], None, 3),
              (7, [], "12", 7), (None, [], "12", 12), (None, [], None, 54321)]
     for file_seed, options, env, used in cases:
         if env is None:

@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.special import expit
 
 from riimpute import fitters
-from riimpute.fitters import (IRLS_COEF_CAP, _Columns, _eigh, _eigvalsh, _information, _inv,
-                              _irls, _irls_work, _logistic, _mu_loglik, _ols, _solve)
+from riimpute.fitters import (IRLS_COEF_CAP, _Columns, _design, _eigh, _eigvalsh, _information,
+                              _inv, _irls, _irls_work, _logistic, _matvec, _mu_loglik, _ols,
+                              _solve, _with_own)
 
 from riimpute import (
     DimensionMismatch,
@@ -332,17 +333,22 @@ def test_columns_products_match_the_array_products(at):
         design[:, 2 if at != 2 else 1] = v
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("n", [fitters._EINSUM_ROWS - 1, fitters._EINSUM_ROWS])
+@pytest.mark.parametrize("order", ["C", "F", "strided"])
+@pytest.mark.parametrize("n", [500, fitters._EINSUM_ROWS - 1, fitters._EINSUM_ROWS])
 def test_public_fits_sum_by_einsum_from_the_einsum_rows(n, order):
-    # below that row count the design goes to BLAS as given; from it on it is
-    # summed by einsum in F order, whatever the caller's layout
+    # below that row count the design goes to BLAS in C order, from it on it
+    # is summed by einsum in F order, whatever the caller's layout: the bits
+    # depend only on the values
     gen = RngStream(57, n).generator
     x = np.column_stack([np.ones(n), gen.normal(0.0, 3.0, (n, 2))])
     y = x @ [1.0, 0.5, -0.25] + gen.standard_normal(n)
     r = (gen.random(n) < expit(x @ [-0.5, 0.3, 0.2])).astype(float)
-    design = np.asarray(x, order=order)
-    kernel_design = design if n < fitters._EINSUM_ROWS else _Columns(np.asfortranarray(x))
+    if order == "strided":
+        design = np.zeros((n, 6))[:, ::2]
+        design[:] = x
+    else:
+        design = np.asarray(x, order=order)
+    kernel_design = x if n < fitters._EINSUM_ROWS else _Columns(np.asfortranarray(x))
     fit, expected = ols_fit(design, y), _ols(kernel_design, y)
     assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
     assert fit.gram_inverse.tobytes() == expected.gram_inverse.tobytes()
@@ -350,6 +356,27 @@ def test_public_fits_sum_by_einsum_from_the_einsum_rows(n, order):
     fit, expected = logistic_fit(design, r), _logistic(kernel_design, r, np.zeros(3))
     assert fit.coefficients.tobytes() == expected.coefficients.tobytes()
     assert fit.covariance.tobytes() == expected.covariance.tobytes()
+
+
+@pytest.mark.parametrize("at", [1, 3])
+@pytest.mark.parametrize("n", [4, fitters._EINSUM_ROWS])
+def test_with_own_adds_a_column_for_its_holder_to_a_read_only_design(n, at):
+    z = np.arange(2.0 * n).reshape(n, 2)
+    design = _design(z, n)
+    x = _with_own(design, at)
+    values = np.arange(n) + 0.5
+    x[:, at] = values
+    expected = np.insert(np.column_stack([np.ones(n), z]), at, values, axis=1)
+    # a product with each unit vector reads one column exactly
+    assert np.column_stack([_matvec(x, e) for e in np.eye(4)]).tobytes() == expected.tobytes()
+    if n < fitters._EINSUM_ROWS:
+        assert not isinstance(design, _Columns) and not design.flags.writeable
+        assert x.flags.c_contiguous and x.flags.writeable
+        assert not np.shares_memory(x, design)
+    else:
+        assert isinstance(x, _Columns) and x.shared is design.shared
+        assert x.shared.flags.f_contiguous and not x.shared.flags.writeable
+        assert x.own.flags.writeable and not np.shares_memory(x.own, x.shared)
 
 
 # ---------------------------------------------------------------------------

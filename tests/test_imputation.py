@@ -40,6 +40,7 @@ from riimpute import (
 )
 
 import riimpute.imputation as imputation
+from riimpute.fitters import _Columns
 from ri_step_oracle import DegenerateRdot, draw_psi_posterior, estimate_adjustment, impute_given_rdot
 from selection_oracle import cell_means, sample_selection_population
 
@@ -113,34 +114,43 @@ def test_dataset_ignores_later_writes_to_the_callers_arrays():
         assert np.array_equal(old, new)
 
 
-def test_dataset_arrays_are_read_only():
-    data = IncompleteDataset(np.array([1.0, np.nan, 3.0]), np.arange(3.0))
-    for array in (data.target, data.covariates, data.observed_mask):
+def _one_missing(n):
+    target = np.arange(1.0, n + 1.0)
+    target[1] = np.nan
+    return IncompleteDataset(target, np.arange(2.0 * n).reshape(n, 2),
+                             target_name="y", covariate_names=("a", "b"))
+
+
+def _arrays(data):
+    """The dataset's arrays; of a design, its C-order array, or from
+    ``_EINSUM_ROWS`` rows on its F-order block, which the chains' threads share."""
+    yield from (data.target, data.covariates, data.observed_mask)
+    for design in (data._observed_design, data._missing_design):
+        if data.n < imputation._EINSUM_ROWS:
+            assert design.flags.c_contiguous
+            yield design
+        else:
+            assert isinstance(design, _Columns) and design.shared.flags.f_contiguous
+            yield design.shared
+
+
+@pytest.mark.parametrize("n", [4, imputation._EINSUM_ROWS])
+def test_dataset_arrays_are_read_only(n):
+    for array in _arrays(_one_missing(n)):
         with pytest.raises(ValueError, match="read-only"):
-            array[0] = array[1]
+            array[:1] = array[:1]
 
 
 def test_dataset_stays_read_only_through_pickle():
     for n in (4, imputation._EINSUM_ROWS):
-        target = np.arange(1.0, n + 1.0)
-        target[1] = np.nan
-        data = IncompleteDataset(target, np.arange(2.0 * n).reshape(n, 2),
-                                 target_name="y", covariate_names=("a", "b"))
+        data = _one_missing(n)
         copy = pickle.loads(pickle.dumps(data))
         assert (copy.target_name, copy.covariate_names) == ("y", ("a", "b"))
         assert (copy.n_observed, copy.n_missing) == (n - 1, 1)
-        for name in ("target", "covariates", "observed_mask", "_observed_design",
-                     "_missing_design"):
-            arrays = [getattr(copy, name), getattr(data, name)]
-            if name.endswith("_design") and n >= imputation._EINSUM_ROWS:
-                # the designs' F-order blocks, which the chains' threads share
-                assert all(isinstance(design, imputation._Columns) for design in arrays)
-                arrays = [design.shared for design in arrays]
-                assert arrays[0].flags.f_contiguous
-            assert arrays[0].tobytes() == arrays[1].tobytes()
-            for array in arrays:
-                with pytest.raises(ValueError, match="read-only"):
-                    array[:1] = array[:1]
+        for original, copied in zip(_arrays(data), _arrays(copy), strict=True):
+            assert copied.tobytes() == original.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                copied[:1] = copied[:1]
 
 
 def test_dataset_rejects_infinite_values():
@@ -950,7 +960,7 @@ def _run(monkeypatch, caplog, data, config, *, serial, cpus=2):
     """ri_impute's completions (or its error) and log, with the sweeps run on
     the calling thread as in a worker process, or on a pool of ``cpus`` threads."""
     with monkeypatch.context() as patch:
-        patch.setattr(imputation, "_available_cpus", lambda: cpus)
+        patch.setattr(imputation.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         if serial:
             patch.setattr(imputation.multiprocessing, "parent_process", lambda: object())
         caplog.clear()

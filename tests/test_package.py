@@ -1,5 +1,6 @@
 """Package-level checks: the public names and the narrative demos."""
 
+import ast
 import inspect
 import os
 import subprocess
@@ -43,6 +44,33 @@ def test_public_namespace_is_all():
     namespace = {name for name, value in vars(riimpute).items()
                  if not name.startswith("_") and not inspect.ismodule(value)}
     assert namespace == set(riimpute.__all__) - {"__version__"}
+
+
+def _names(path: Path) -> set[str]:
+    """Every name a module defines, imports or reads, attribute names included."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_only_fitters_lays_out_designs():
+    # fitters alone picks a C-order array for BLAS or an F-order _Columns for
+    # einsum: the imputers take their designs from _design and _with_own, the
+    # analysis model from _with_intercept, and only the chains' thread rule
+    # reads the row threshold
+    modules = {path.name: _names(path) for path in (REPO / "src" / "riimpute").glob("*.py")}
+    assert {"fitters.py", "imputation.py", "pooling.py"} <= set(modules)
+    for name, names in modules.items():
+        if name != "fitters.py":
+            assert "_Columns" not in names, name
+            assert "_with_intercept" not in names or name == "pooling.py", name
+            assert "_EINSUM_ROWS" not in names or name == "imputation.py", name
 
 
 def test_logistic_fit_takes_a_design_and_an_indicator():

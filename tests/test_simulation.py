@@ -1,3 +1,4 @@
+import os
 import re
 import tracemalloc
 from dataclasses import replace
@@ -342,6 +343,28 @@ def _check_tiled_kde(monkeypatch, values, cpus):
 @pytest.mark.parametrize("n", [2, 3, 8191, 8192, 8193, 56_000])
 def test_tiled_kde_matches_untiled_bytes_for_any_cpu_count(monkeypatch, n, cpus):
     _check_tiled_kde(monkeypatch, RngStream(88, n).generator.normal(1.0, 3.0, n), cpus)
+
+
+def test_kde_in_a_worker_process_runs_every_tile_on_the_calling_thread(monkeypatch):
+    # run_scenario's workers share the CPUs out already, so a curve drawn in
+    # one takes no pool thread, whatever CPUs the process may use
+    values = RngStream(88, 20_000).generator.normal(1.0, 3.0, 20_000)
+    h = silverman_bandwidth(values)
+    grid = np.linspace(values.min() - 4.0 * h, values.max() + 4.0 * h, 512)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    expected = _kde_on_grid(values, grid, h)
+    monkeypatch.setattr(simulation.multiprocessing, "parent_process", lambda: object())
+    submitted = []
+
+    class CountingPool(simulation.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", CountingPool)
+    assert simulation._available_cpus() == 1
+    assert _kde_on_grid(values, grid, h).tobytes() == expected.tobytes()
+    assert submitted == []
 
 
 def _gapped(n):
