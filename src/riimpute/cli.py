@@ -812,7 +812,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--iterations", type=int)
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--jobs", type=int, default=1,
-                       help="forked worker processes for the replications (>= 1)")
+                       help="processes for the replications (>= 1): this one and N - 1 forked workers")
     p_sim.add_argument("--output", required=True)
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -19,6 +19,7 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,10 +216,16 @@ def mar_impute(data: IncompleteDataset, m: int, rng: RngStream) -> list[np.ndarr
     return [_impute_draw(data, fit, rng) for _ in range(m)]
 
 
+# True while the calling process runs its own share of ``run_scenario``'s
+# replications beside the forked workers
+_sharing_cpus: ContextVar[bool] = ContextVar("_sharing_cpus", default=False)
+
+
 def _available_cpus() -> int:
     """CPUs for this process's threads: 1 in a worker process, such as
-    ``run_scenario``'s, whose parent already shares the CPUs out."""
-    if multiprocessing.parent_process() is not None:
+    ``run_scenario``'s, whose parent already shares the CPUs out, and in that
+    parent while it runs its own share of the replications."""
+    if _sharing_cpus.get() or multiprocessing.parent_process() is not None:
         return 1
     try:
         return len(os.sched_getaffinity(0))

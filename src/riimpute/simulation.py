@@ -12,18 +12,18 @@ the number of worker processes.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
+import traceback
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateSample, InvalidParameter, RiImputeError
-from .imputation import (IncompleteDataset, RiConfig, _available_cpus, complete_case, mar_impute,
-                         ri_impute)
+from .imputation import (IncompleteDataset, RiConfig, _available_cpus, _sharing_cpus, complete_case,
+                         mar_impute, ri_impute)
 from .mechanism import NonresponseParams, generate_missingness
 from .pooling import PooledEstimate, coverage, fit_analysis, rubin_pool, single_fit_estimate
 from .rng import RngStream, _is_integer, _is_seed, mix_stream_id
@@ -228,31 +228,90 @@ def _one(config: ScenarioConfig, i: int) -> ReplicationResult | str:
         return type(exc).__name__
 
 
+def _send_share(config: ScenarioConfig, share: range, sender) -> None:
+    """A worker's body: the outcomes of its share, or the first non-library
+    error among them with its traceback, in one message to the parent."""
+    try:
+        message = [_one(config, i) for i in share]
+    except Exception as exc:
+        message = (exc, traceback.format_exc())
+    sender.send(message)
+
+
+def _received(process, receiver, share: range) -> list:
+    """The outcomes a worker sent, or its error raised here."""
+    where = f"the worker process for replications {share.start} to {share.stop - 1}"
+    try:
+        message = receiver.recv()
+    except EOFError:
+        process.join()
+        raise RuntimeError(f"{where} exited with code {process.exitcode} "
+                           f"before sending its results") from None
+    if isinstance(message, tuple):
+        error, trace = message
+        raise error from RuntimeError(f"in {where}:\n{trace}")
+    return message
+
+
+def _run_shares(config: ScenarioConfig, workers: int) -> list:
+    """The outcomes of every replication, in index order, from ``workers``
+    contiguous shares: the first run here, the rest in forked processes."""
+    bounds = [config.replications * k // workers for k in range(workers + 1)]
+    shares = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    # fork: a spawned or forkserver worker re-imports numpy and riimpute
+    # (about 0.4-0.5 s), longer than a small scenario takes to run.
+    context = multiprocessing.get_context("fork")
+    import scipy.special  # noqa: F401  (load the lazy import once here, not in every worker)
+    started = []  # (process, receiver, share) of each worker
+    try:
+        for share in shares[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_send_share, args=(config, share, sender))
+            process.start()
+            started.append((process, receiver, share))
+            # with the parent's copy closed, a worker that dies unheard reads as EOF
+            sender.close()
+        token = _sharing_cpus.set(True)
+        try:
+            outcomes = [_one(config, i) for i in shares[0]]
+        finally:
+            _sharing_cpus.reset(token)
+        for process, receiver, share in started:
+            outcomes += _received(process, receiver, share)
+    except BaseException:
+        for process, _, _ in started:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver, _ in started:
+            process.join()
+            receiver.close()
+    return outcomes
+
+
 def run_scenario(config: ScenarioConfig, n_jobs: int = 1) -> ScenarioResult:
     """Aggregate all replications of one scenario.
 
-    With ``n_jobs`` > 1 the replications run in that many forked worker
-    processes (at most one per replication). Failed replications
-    (non-convergence, too few rows and the like) are counted by error type
-    and skipped; the run errors out, naming the counts, only when more than 5%
-    of them fail. Results are identical for any ``n_jobs`` >= 1.
+    With ``n_jobs`` > 1 the replications are split into ``n_jobs`` contiguous
+    shares of near-equal size (at most one per replication): the calling
+    process runs the first and ``n_jobs`` - 1 forked worker processes run the
+    rest, each sending its outcomes back over a pipe. Like each worker, the
+    calling process starts no chain threads while it runs its share. The
+    first error other than a library error, in replication order, is raised,
+    and no worker outlives the call. Failed replications (non-convergence,
+    too few rows and the like) are counted by error type and skipped; the
+    run errors out, naming the counts, only when more than 5% of them fail.
+    Results are identical for any ``n_jobs`` >= 1.
     """
     if not _is_integer(n_jobs):
         raise InvalidParameter(f"n_jobs must be an integer, got {n_jobs!r}")
     if n_jobs < 1:
         raise InvalidParameter(f"n_jobs must be >= 1, got {n_jobs}")
-    indices = range(config.replications)
     workers = min(n_jobs, config.replications)
     if workers > 1:
-        # fork: a spawned or forkserver worker re-imports numpy and riimpute
-        # (about 0.4-0.5 s), longer than a small scenario takes to run.
-        context = multiprocessing.get_context("fork")
-        import scipy.special  # noqa: F401  (load the lazy import once here, not in every worker)
-        chunksize = max(1, config.replications // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            outcomes = list(pool.map(_one, itertools.repeat(config), indices, chunksize=chunksize))
+        outcomes = _run_shares(config, workers)
     else:
-        outcomes = [_one(config, i) for i in indices]
+        outcomes = [_one(config, i) for i in range(config.replications)]
 
     successes = [o for o in outcomes if not isinstance(o, str)]
     failures = dict(sorted(Counter(o for o in outcomes if isinstance(o, str)).items()))

@@ -18,8 +18,8 @@ twice; one more n = 200 line selects on the target alone,
 covariates), ``mar_impute`` (also on one dataset with its covariates in units
 of 1e-6 and 1e5, and with a collinear pair, which prints ``raised
 RankDeficient``), ``run_scenario`` + ``format_result_table`` for all ten
-builtin scenarios (serially and in two worker processes, which must print the
-same digest), and the files written by the CLI commands ``impute`` (ri, mar
+builtin scenarios (serially and with n_jobs = 2, the calling process and one forked
+worker, which must print the same digest), and the files written by the CLI commands ``impute`` (ri, mar
 and cc at m = 5), ``simulate`` and ``density``, plus the table of a ``simulate
 --scenario-file`` run whose file sets ``seed = 7`` and whose command line sets
 no seed (its header must cite seed 7), and two more ``impute`` layouts: the

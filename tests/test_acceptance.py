@@ -3,8 +3,8 @@
 Each test prints one PASS/FAIL line (bypassing capture) and then asserts, so a
 full run shows the status of every criterion. The Monte Carlo grid (ten
 scenarios at n = 1000, 200 replications, m = 5, 10 sweeps) is computed once per
-session and shared; a second run in four worker processes backs the
-determinism check.
+session and shared; a second run with n_jobs = 4 (the calling process and three forked
+workers) backs the determinism check.
 """
 
 import time

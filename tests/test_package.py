@@ -88,10 +88,15 @@ def run_python(code: str, cwd=None) -> str:
     return proc.stdout.strip()
 
 
-def test_cli_import_leaves_scipy_stats_out():
+def test_cli_import_leaves_scipy_stats_and_the_process_machinery_out():
     # every CLI command starts an interpreter: scipy.stats costs about 0.8 s of
-    # it, and scipy.special, which the package imports on first use, about 0.25 s
-    assert run_python(f"import sys, riimpute, riimpute.cli; print({SCIPY_MODULES})") == "[]"
+    # it, and scipy.special, which the package imports on first use, about 0.25 s;
+    # the process pool module, which nothing uses, and the pipes, which
+    # run_scenario loads on first use, about 0.02 s together
+    machinery = ("concurrent.futures.process", "multiprocessing.connection")
+    assert run_python(f"import sys, riimpute, riimpute.cli; "
+                      f"print({SCIPY_MODULES}, [m for m in {machinery!r} if m in sys.modules])"
+                      ) == "[] []"
 
 
 def test_density_loads_no_scipy_and_impute_loads_it_on_first_use(tmp_path, monkeypatch):

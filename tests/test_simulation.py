@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import re
 import tracemalloc
@@ -26,7 +27,7 @@ from riimpute import (
     run_scenario,
     silverman_bandwidth,
 )
-from riimpute import simulation
+from riimpute import imputation, simulation
 from riimpute.simulation import ScenarioConfig, _kde_on_grid
 
 
@@ -156,6 +157,7 @@ def test_run_scenario_workers_skip_failures_under_five_percent(monkeypatch):
     serial = run_scenario(config, n_jobs=1)
     assert serial.failed_replications == 1
     _assert_same_result(serial, run_scenario(config, n_jobs=2))
+    assert multiprocessing.active_children() == []
 
 
 def test_run_scenario_counts_failures_by_type(monkeypatch):
@@ -178,14 +180,73 @@ def test_run_scenario_workers_raise_over_five_percent(monkeypatch, n_jobs):
     with pytest.raises(RiImputeError, match=r"^3 of 20 replications failed in scenario 'mcar' "
                                             r"\(Separation: 1, TooFewRows: 2\)$"):
         run_scenario(config, n_jobs=n_jobs)
+    assert multiprocessing.active_children() == []
 
 
-def test_run_scenario_worker_propagates_non_library_error(monkeypatch):
+# with 6 replications, n_jobs = 2 runs 0-2 here and 3-5 in a worker, and
+# n_jobs = 3 runs 0-1 here and 2-3 and 4-5 in two workers
+@pytest.mark.parametrize("n_jobs, errors", [
+    (2, {4: ZeroDivisionError}),
+    (2, {0: ZeroDivisionError}),
+    (2, {5: ZeroDivisionError}),
+    (2, {4: ZeroDivisionError, 1: KeyError}),
+    (2, {5: ZeroDivisionError, 3: KeyError}),
+    (3, {5: ZeroDivisionError, 3: KeyError}),
+])
+def test_run_scenario_worker_propagates_non_library_error(monkeypatch, n_jobs, errors):
+    # the first error in replication order is raised, wherever it ran
     config = builtin_scenario("mcar", "strong", n=100, replications=6, m=2, iterations=2,
                               master_seed=37)
-    _fail_at(monkeypatch, {4: ZeroDivisionError})
-    with pytest.raises(ZeroDivisionError, match="replication 4"):
+    _fail_at(monkeypatch, errors)
+    first = min(errors)
+    with pytest.raises(errors[first], match=f"replication {first}"):
+        run_scenario(config, n_jobs=n_jobs)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_scenario_raises_for_a_worker_that_dies_unheard(monkeypatch):
+    config = builtin_scenario("mcar", "strong", n=100, replications=6, m=2, iterations=2,
+                              master_seed=37)
+    original = simulation.run_replication
+
+    def patched(config, i):
+        if i == 4:
+            os._exit(3)
+        return original(config, i)
+
+    monkeypatch.setattr(simulation, "run_replication", patched)
+    with pytest.raises(RuntimeError, match=r"^the worker process for replications 3 to 5 "
+                                           r"exited with code 3 before sending its results$"):
         run_scenario(config, n_jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_calling_process_runs_its_share_on_one_cpu(monkeypatch):
+    # the workers take the other CPUs, so ri_impute at 10 000 rows or more
+    # starts no chain threads beside them
+    config = builtin_scenario("mcar", "strong", n=100, replications=4, m=2, iterations=2,
+                              master_seed=37)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    original = simulation.run_replication
+    parent = os.getpid()
+    seen = []
+
+    def recording(config, i):
+        if os.getpid() == parent:
+            seen.append(imputation._available_cpus())
+        return original(config, i)
+
+    monkeypatch.setattr(simulation, "run_replication", recording)
+    run_scenario(config, n_jobs=2)
+    assert seen == [1, 1]
+    assert imputation._available_cpus() == 4
+    seen.clear()
+    run_scenario(config, n_jobs=1)
+    assert seen == [4, 4, 4, 4]
+    _fail_at(monkeypatch, {1: ZeroDivisionError})
+    with pytest.raises(ZeroDivisionError):
+        run_scenario(config, n_jobs=2)
+    assert imputation._available_cpus() == 4
 
 
 def test_run_scenario_rejects_n_jobs_below_one():
